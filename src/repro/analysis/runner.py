@@ -475,13 +475,16 @@ class ExperimentRunner:
     def lookup(self, recipe: Recipe) -> Optional[SimResult]:
         """Memory/disk probe only — never simulates.
 
-        A disk hit is pulled into the in-memory memo (and counted) so a
-        later :meth:`submit` is free; a miss returns ``None`` without
-        touching the stats, so probing is safe to do eagerly.
+        A memo hit is counted; a disk hit is pulled into the in-memory
+        memo (and counted) so a later :meth:`submit` is free; a miss
+        returns ``None`` without touching the stats, so probing is safe
+        to do eagerly.
         """
         key = self.key_of(recipe)
         with self._lock:
             hit = self._mem.get(key)
+            if hit is not None:
+                self.stats["mem_hits"] += 1
         if hit is not None:
             return hit
         if self.use_cache:

@@ -203,11 +203,12 @@ class PTBController(LocalBudgetController):
         self._grants: List[Tokens] = [0] * cfg.num_cores
         self._last_spares: List[Tokens] = [0] * cfg.num_cores
         self._last_overs: List[Tokens] = [0] * cfg.num_cores
-        # Per-cycle scratch reused across end_cycle calls (PERF001: four
-        # fresh lists per cycle otherwise).  ``_last_spares``/``_last_overs``
-        # alias the report buffers after end_cycle — observers read them
-        # before the next cycle overwrites them, and the balancer snapshots
-        # its own copies into the pipe.
+        # Per-cycle scratch reused across end_cycle calls, so the hot
+        # path allocates no lists (four fresh ones per cycle otherwise).
+        # ``_last_spares``/``_last_overs`` alias the report buffers after
+        # end_cycle — observers read them before the next cycle
+        # overwrites them, and the balancer snapshots its own copies into
+        # the pipe.
         self._zeros: List[Tokens] = [0] * cfg.num_cores
         self._pledged_buf: List[Tokens] = [0] * cfg.num_cores
         self._spares_buf: List[Tokens] = [0] * cfg.num_cores

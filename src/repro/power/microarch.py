@@ -37,7 +37,7 @@ class Technique(IntEnum):
 
 #: The techniques that narrow the issue width.  A module constant so the
 #: controllers' per-core actuator loops don't rebuild the tuple every
-#: cycle (simcheck PERF001).
+#: cycle.
 ISSUE_TECHNIQUES = (Technique.ISSUE_HALF, Technique.PIPELINE_GATE)
 
 #: Overshoot thresholds (fractions over the local budget) selecting each

@@ -12,7 +12,7 @@ Layout:
 * :mod:`.protocol` — wire format, recipe validation;
 * :mod:`.jobs` — job lifecycle + the coalescing registry;
 * :mod:`.tokens` — the capacity-token balancer;
-* :mod:`.backends` — process/thread pools + the remote-worker stub;
+* :mod:`.backends` — the process and thread worker pools;
 * :mod:`.trace` — JOB_* telemetry and the Perfetto trace exporter;
 * :mod:`.server` — the event loop tying it together;
 * :mod:`.client` — the synchronous client;

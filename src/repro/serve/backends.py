@@ -14,8 +14,6 @@ flight — so backends stay small:
   threads.  The simulator releases no GIL, so this is for tests (spies
   and monkeypatches reach the worker) and cache-hit-heavy serving, not
   raw throughput.
-* :class:`RemoteWorkerBackend` — the interface stub for a remote
-  fleet; see its docstring for the intended wire contract.
 
 All backends execute the *same* cache-aware worker, so wherever a job
 runs it takes the per-entry lock, re-checks the disk, and publishes
@@ -26,7 +24,7 @@ story unchanged.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..analysis.runner import _worker, validate_jobs
 
@@ -35,7 +33,6 @@ __all__ = [
     "Backend",
     "ProcessPoolBackend",
     "ThreadPoolBackend",
-    "RemoteWorkerBackend",
     "make_backend",
 ]
 
@@ -101,53 +98,12 @@ class ThreadPoolBackend(_ExecutorBackend):
     _executor_cls = ThreadPoolExecutor
 
 
-class RemoteWorkerBackend(Backend):
-    """Interface stub for a remote worker fleet (not yet implemented).
-
-    Intended contract, so the server needs no changes when this lands:
-
-    * the backend dials ``addr`` (a ``host:port`` or unix path) per
-      worker slot and speaks the same line-delimited JSON protocol the
-      front-end serves, with one extra op: ``{"op": "work", "spec":
-      [recipe-wire, scale, max_cycles, seed, null, engine]}`` — the
-      cache directory is ``null`` because remote workers publish
-      through their *own* cache and the front-end's disk cache stays
-      authoritative (the returned pickle is stored by the server);
-    * ``submit`` returns a future resolved by the connection's reader
-      task; a dropped connection fails the future, and the server's
-      normal error path answers the waiters;
-    * capacity tokens map 1:1 onto remote slots, so the same
-      :class:`~repro.serve.tokens.TokenBalancer` schedules the fleet.
-    """
-
-    name = "remote"
-
-    def __init__(self, addr: str, workers: int = 1) -> None:
-        super().__init__(workers)
-        self.addr = addr
-
-    def start(self) -> None:
-        raise NotImplementedError(
-            "remote workers are a stub: only the interface is defined "
-            "(see the class docstring for the wire contract)"
-        )
-
-    def submit(self, spec: Tuple) -> "Future":
-        raise NotImplementedError("remote workers are a stub")
-
-    def shutdown(self, wait: bool = True) -> None:  # pragma: no cover
-        pass
-
-
-def make_backend(name: str, workers: int,
-                 addr: Optional[str] = None) -> Backend:
-    """Build a backend by CLI name (``process``/``thread``/``remote``)."""
+def make_backend(name: str, workers: int) -> Backend:
+    """Build a backend by CLI name (``process``/``thread``)."""
     if name == "process":
         return ProcessPoolBackend(workers)
     if name == "thread":
         return ThreadPoolBackend(workers)
-    if name == "remote":
-        return RemoteWorkerBackend(addr or "", workers)
     raise ValueError(
-        f"unknown backend {name!r}; available: {list(BACKENDS)} (+ remote)"
+        f"unknown backend {name!r}; available: {list(BACKENDS)}"
     )

@@ -38,8 +38,10 @@ twin of the chip trace.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import pickle
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -60,7 +62,7 @@ from .jobs import (
 from .tokens import TokenBalancer
 from .trace import ServeTelemetry, write_serve_trace
 
-__all__ = ["ServeConfig", "JobServer", "ServerThread"]
+__all__ = ["ServeConfig", "JobServer", "ServerStopped", "ServerThread"]
 
 #: Terminal jobs kept queryable by id before being forgotten.
 FINISHED_KEEP = 1024
@@ -616,6 +618,10 @@ class JobServer:
             self.registry.forget(self._finished.popleft())
 
 
+class ServerStopped(RuntimeError):
+    """The server loop stopped before it ran a :meth:`ServerThread.call`."""
+
+
 class ServerThread:
     """Run a :class:`JobServer` on a background thread's event loop.
 
@@ -666,11 +672,36 @@ class ServerThread:
         return self.server.address
 
     def call(self, coro, timeout: float = 60.0):
-        """Run ``coro`` on the server loop; return its result."""
+        """Run ``coro`` on the server loop; return its result.
+
+        Raises :class:`ServerStopped` as soon as the server loop has
+        stopped: a coroutine handed to a loop that has stopped never
+        runs, so waiting out ``timeout`` would only hang the caller.
+        """
         assert self._loop is not None
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            timeout
-        )
+        try:
+            fut = None if self._loop_done() else \
+                asyncio.run_coroutine_threadsafe(coro, self._loop)
+        except RuntimeError:  # the loop closed after the check
+            fut = None
+        deadline = time.monotonic() + timeout
+        while fut is not None:
+            left = deadline - time.monotonic()
+            try:
+                return fut.result(min(0.1, max(left, 0.0)))
+            except concurrent.futures.CancelledError:
+                break  # only the loop's own shutdown cancels the task
+            except concurrent.futures.TimeoutError:
+                if self._loop_done():
+                    break
+                if left <= 0.1:
+                    raise
+        coro.close()  # never ran or was cancelled: no "never awaited"
+        raise ServerStopped("repro-serve server has stopped")
+
+    def _loop_done(self) -> bool:
+        """True once the server loop can no longer run anything."""
+        return self._loop.is_closed() or not self._thread.is_alive()
 
     def pause_dispatch(self) -> None:
         assert self.server is not None
@@ -687,9 +718,11 @@ class ServerThread:
         return self.call(_status())
 
     def stop(self, drain: bool = True) -> None:
-        if self.server is not None and self._loop is not None \
-                and self._loop.is_running():
-            self.call(self.server.shutdown(drain=drain), timeout=120.0)
+        if self.server is not None and self._loop is not None:
+            try:
+                self.call(self.server.shutdown(drain=drain), timeout=120.0)
+            except ServerStopped:
+                pass  # a client's shutdown op stopped it already
         if self._thread is not None:
             self._thread.join(timeout=30)
 

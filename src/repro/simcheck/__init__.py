@@ -7,12 +7,11 @@ every figure.  This package provides two independent lines of defence:
 
 * **Static passes** — an ``ast``-based linter with simulator-specific
   rules (SIM001-SIM006; :mod:`repro.simcheck.lint`,
-  :mod:`repro.simcheck.rules`) plus three whole-program analyses
+  :mod:`repro.simcheck.rules`) plus two whole-program analyses
   sharing one discovery/effect engine: tick-order hazards and units
-  (:mod:`repro.simcheck.flow`), hot-loop perf + coupling
-  (:mod:`repro.simcheck.kernel`), and cache-key soundness + worker
-  purity (:mod:`repro.simcheck.purity`).  All four gate CI:
-  ``python -m repro.simcheck {lint,flow,kernel,purity} src/repro``.
+  (:mod:`repro.simcheck.flow`) and cache-key soundness + worker
+  purity (:mod:`repro.simcheck.purity`).  All three gate CI through
+  one pass registry: ``python -m repro.simcheck all src/repro``.
 
 * **Runtime sanitizers** (:mod:`repro.simcheck.sanitizers`) — opt-in
   cross-cutting invariant checks (token conservation, MOESI single-owner,

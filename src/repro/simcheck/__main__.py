@@ -1,4 +1,4 @@
-"""``python -m repro.simcheck`` — lint, flow, kernel, purity + smoke entry point."""
+"""``python -m repro.simcheck`` — lint, flow, purity, all + smoke entry point."""
 
 import sys
 

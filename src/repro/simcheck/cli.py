@@ -1,31 +1,27 @@
 """``python -m repro.simcheck`` — the simcheck command-line front end.
 
-Subcommands:
+Three static passes, one entry each in :data:`PASSES`:
 
-* ``lint PATH...``  — run the SIM rules; print ``file:line:col: RULE msg``
-  per finding and exit non-zero when anything is found (CI gate).
+* ``lint PATH...``  — the SIM rules (local idioms such as set-order
+  iteration and unseeded randomness), one ``file:line:col: RULE msg``
+  line per finding.
 * ``flow PATH``     — whole-program flow analyses: same-cycle tick-order
-  hazards (FLOW rules) and unit/dimension propagation (UNIT rules),
-  gated against ``.simcheck-baseline.json`` so CI fails only on
-  regressions.
-* ``kernel PATH``   — hot-loop performance lint (PERF rules) plus the
-  per-core / cross-core / global field-coupling report that gates the
-  numpy SoA rewrite (``--report kernel-report.json``), gated against
-  ``.simcheck-kernel-baseline.json``.
+  hazards (FLOW rules) and unit/dimension propagation (UNIT rules).
 * ``purity PATH``   — cache-key soundness (KEY rules) and worker-purity
-  analysis (PURE rules) rooted at the experiment runner's cache, gated
-  against ``.simcheck-purity-baseline.json``.
-* ``smoke``         — run a short 2-core simulation under every PTB
-  policy with all runtime sanitizers enabled; exit non-zero on any
-  :class:`SanitizerViolation` (CI gate for hook regressions).
+  analysis (PURE rules) rooted at the experiment runner's cache.
 
-All four analysis subcommands accept ``--format json`` (one JSON object
-``{"tool", "findings": [...], "count"}``) and ``--format sarif`` (SARIF
-2.1.0 for code-scanning annotations); ``kernel`` and ``purity``
-additionally accept ``--format table`` for the human report view.  All
-four share one baseline surface — ``--baseline FILE`` /
-``--write-baseline`` / ``--prune-baseline`` — so CI fails only on
-regressions and every accepted finding carries a justification.
+Every pass accepts ``--format json`` (one JSON object ``{"tool",
+"findings": [...], "count"}``) and ``--format sarif`` (SARIF 2.1.0 for
+code-scanning annotations); ``purity`` also accepts ``--format table``
+for its coverage report.  All three share one baseline surface —
+``--baseline FILE`` / ``--write-baseline`` / ``--prune-baseline`` — so
+CI fails only on regressions and every accepted finding carries a
+justification.  ``all PATH`` runs every registered pass against its
+default baseline through the same gate and writes one merged SARIF.
+
+``smoke`` runs a short 2-core simulation under every PTB policy with
+all runtime sanitizers enabled and exits non-zero on any
+:class:`SanitizerViolation` (the CI gate for hook regressions).
 """
 
 from __future__ import annotations
@@ -33,184 +29,178 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence  # noqa: F401 (signatures)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .flow.baseline import apply_baseline, load_baseline, write_baseline
 from .lint import Finding, iter_rules, lint_paths
 
 
-def _emit_findings(
-    tool: str, findings: Sequence[Finding], fmt: str
-) -> None:
+@dataclass
+class Analysis:
+    """What one pass produced.  ``error`` set means exit 2, no gate."""
+
+    findings: List[Finding] = field(default_factory=list)
+    report: Optional[Dict[str, object]] = None
+    notes: List[str] = field(default_factory=list)
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One registered analysis pass."""
+
+    name: str
+    baseline: str  # default baseline file, used by ``all``
+    help: str
+    analyze: Callable[[argparse.Namespace], Analysis]
+    add_args: Callable[[argparse.ArgumentParser], None]
+    table: Optional[Callable[[Dict[str, object], List[Finding]], str]] = None
+
+
+def _package_dir(value: str) -> Path:
+    """argparse type for a package root: an existing directory."""
+    root = Path(value)
+    if not root.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {root}")
+    return root
+
+
+def _analyze_lint(args: argparse.Namespace) -> Analysis:
+    if not args.paths:
+        return Analysis(error="no paths given")
+    try:
+        findings = lint_paths(
+            args.paths,
+            enable=args.enable.split(",") if args.enable else None,
+            disable=args.disable.split(",") if args.disable else None,
+            config_path=args.config,
+        )
+    except (OSError, SyntaxError) as exc:
+        return Analysis(error=str(exc))
+    return Analysis(findings)
+
+
+def _analyze_flow(args: argparse.Namespace) -> Analysis:
+    from .flow import analyze_package
+
+    findings, notes = analyze_package(
+        args.path, hazards=not args.no_hazards, units=not args.no_units
+    )
+    return Analysis(findings, notes=notes)
+
+
+def _analyze_purity(args: argparse.Namespace) -> Analysis:
+    from .purity import analyze_purity
+
+    res = analyze_purity(args.path)
+    if res.model is None:
+        return Analysis(
+            notes=res.notes,
+            error="no cache-key builder found; nothing to analyze",
+        )
+    return Analysis(res.findings, res.report, res.notes)
+
+
+def _purity_table(report: Dict[str, object], new: List[Finding]) -> str:
+    from .purity import render_table
+
+    return render_table(report, new)
+
+
+class _ListRules(argparse.Action):
+    """``lint --list-rules``: print the rule catalog and exit 0."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for rule in iter_rules():
+            print(f"{rule.rule_id}  {rule.description}")
+        parser.exit()
+
+
+def _lint_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("paths", nargs="*", help="files or directories to lint")
+    sub.add_argument("--enable", help="comma-separated rule ids to run exclusively")
+    sub.add_argument("--disable", help="comma-separated rule ids to skip")
+    sub.add_argument(
+        "--config", help="path to config.py for SIM006 (default: autodetect)"
+    )
+    sub.add_argument(
+        "--list-rules", action=_ListRules, nargs=0,
+        help="print the rule catalog and exit",
+    )
+
+
+def _package_args(sub: argparse.ArgumentParser, notes: str) -> None:
+    sub.add_argument(
+        "path", type=_package_dir,
+        help="package root to analyze (e.g. src/repro)",
+    )
+    sub.add_argument(
+        "--verbose", action="store_true", help=f"print analysis notes ({notes})"
+    )
+
+
+def _flow_args(sub: argparse.ArgumentParser) -> None:
+    _package_args(sub, "module count, driver, parse errors")
+    sub.add_argument("--no-hazards", action="store_true", help="skip the FLOW pass")
+    sub.add_argument("--no-units", action="store_true", help="skip the UNIT pass")
+
+
+def _purity_args(sub: argparse.ArgumentParser) -> None:
+    _package_args(sub, "cache module, reachable-function count")
+    sub.add_argument(
+        "--report", metavar="FILE",
+        help="write the machine-readable purity report (purity-report.json)",
+    )
+
+
+#: The registered passes, in gate order.
+PASSES: Dict[str, Pass] = {
+    p.name: p
+    for p in (
+        Pass("lint", ".simcheck-lint-baseline.json",
+             "run the SIM lint rules over paths", _analyze_lint, _lint_args),
+        Pass("flow", ".simcheck-baseline.json",
+             "whole-program tick-order hazard + unit/dimension analysis",
+             _analyze_flow, _flow_args),
+        Pass("purity", ".simcheck-purity-baseline.json",
+             "cache-key soundness (KEY rules) + worker purity (PURE rules)",
+             _analyze_purity, _purity_args, table=_purity_table),
+    )
+}
+
+
+def _say(tool: str, message: object) -> None:
+    print(f"simcheck {tool}: {message}", file=sys.stderr)
+
+
+def _emit_findings(tool: str, findings: Sequence[Finding], fmt: str) -> None:
     """Print findings as ``file:line:col`` lines or one document."""
     if fmt == "sarif":
         from .sarif import render_sarif
 
         print(render_sarif(tool, findings))
     elif fmt == "json":
-        print(
-            json.dumps(
+        doc = {
+            "tool": tool,
+            "findings": [
                 {
-                    "tool": tool,
-                    "findings": [
-                        {
-                            "path": f.path,
-                            "line": f.line,
-                            "col": f.col,
-                            "rule": f.rule_id,
-                            "message": f.message,
-                            "fingerprint": f.identity(),
-                        }
-                        for f in findings
-                    ],
-                    "count": len(findings),
-                },
-                indent=2,
-            )
-        )
+                    "path": f.path,
+                    "line": f.line,
+                    "col": f.col,
+                    "rule": f.rule_id,
+                    "message": f.message,
+                    "fingerprint": f.identity(),
+                }
+                for f in findings
+            ],
+            "count": len(findings),
+        }
+        print(json.dumps(doc, indent=2))
     else:
         for finding in findings:
             print(finding.render())
-
-
-def _add_baseline_args(sub: argparse.ArgumentParser, example: str) -> None:
-    """The baseline flag triple shared by lint/flow/kernel/purity."""
-    sub.add_argument(
-        "--baseline",
-        help="baseline JSON of accepted findings, fail only on regressions "
-        f"(e.g. {example})",
-    )
-    sub.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    sub.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries that no longer fire and report them",
-    )
-
-
-def _gate_with_baseline(
-    tool: str, args: argparse.Namespace, findings: Sequence[Finding]
-):
-    """Baseline plumbing shared by all four passes.
-
-    Loads ``--baseline``, services ``--write-baseline`` /
-    ``--prune-baseline``, and otherwise splits findings against the
-    baseline.  Returns ``(handled, new, suppressed, stale)`` where
-    ``handled`` is an exit code when the command is already finished
-    (write/prune/load error) and None when the caller should emit
-    ``new`` and gate on it.
-    """
-    from .flow import apply_baseline, load_baseline, write_baseline
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    baseline = {}
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"simcheck {tool}: {exc}", file=sys.stderr)
-            return 2, [], [], []
-    for flag in ("prune_baseline", "write_baseline"):
-        if getattr(args, flag) and baseline_path is None:
-            print(
-                f"simcheck {tool}: --{flag.replace('_', '-')} requires "
-                "--baseline FILE",
-                file=sys.stderr,
-            )
-            return 2, [], [], []
-    if args.prune_baseline:
-        return _prune_baseline(tool, baseline_path, findings), [], [], []
-    if args.write_baseline:
-        count = write_baseline(baseline_path, findings, baseline)
-        print(
-            f"simcheck {tool}: wrote {count} baseline entries to "
-            f"{baseline_path}",
-            file=sys.stderr,
-        )
-        return 0, [], [], []
-    new, suppressed, stale = apply_baseline(findings, baseline)
-    return None, new, suppressed, stale
-
-
-def _report_baseline_noise(tool: str, suppressed, stale) -> None:
-    if suppressed:
-        print(
-            f"simcheck {tool}: {len(suppressed)} baselined finding(s) "
-            "suppressed",
-            file=sys.stderr,
-        )
-    for fp in stale:
-        print(
-            f"simcheck {tool}: stale baseline entry (no longer fires): {fp}",
-            file=sys.stderr,
-        )
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for rule in iter_rules():
-            print(f"{rule.rule_id}  {rule.description}")
-        return 0
-    if not args.paths:
-        print("simcheck lint: no paths given", file=sys.stderr)
-        return 2
-    enable = args.enable.split(",") if args.enable else None
-    disable = args.disable.split(",") if args.disable else None
-    try:
-        findings = lint_paths(
-            args.paths, enable=enable, disable=disable,
-            config_path=args.config,
-        )
-    except (OSError, SyntaxError) as exc:
-        print(f"simcheck lint: {exc}", file=sys.stderr)
-        return 2
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "lint", args, findings
-    )
-    if handled is not None:
-        return handled
-    _emit_findings("lint", new, args.format)
-    _report_baseline_noise("lint", suppressed, stale)
-    if new:
-        print(f"simcheck: {len(new)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from .flow import analyze_package
-
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck flow: not a directory: {root}", file=sys.stderr)
-        return 2
-
-    findings, notes = analyze_package(
-        root,
-        hazards=not args.no_hazards,
-        units=not args.no_units,
-    )
-    if args.verbose:
-        for note in notes:
-            print(note, file=sys.stderr)
-
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "flow", args, findings
-    )
-    if handled is not None:
-        return handled
-    _emit_findings("flow", new, args.format)
-    _report_baseline_noise("flow", suppressed, stale)
-    if new:
-        print(
-            f"simcheck flow: {len(new)} new finding(s) — fix them or "
-            "baseline with a justification",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _prune_baseline(
@@ -223,24 +213,11 @@ def _prune_baseline(
     cleanup is auditable from the CI log.
     """
     if not baseline_path.exists():
-        print(
-            f"simcheck {tool}: no baseline at {baseline_path}; nothing to prune",
-            file=sys.stderr,
-        )
+        _say(tool, f"no baseline at {baseline_path}; nothing to prune")
         return 2
-    try:
-        data = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"simcheck {tool}: {exc}", file=sys.stderr)
-        return 2
-    entries = data.get("findings", []) if isinstance(data, dict) else None
-    if entries is None:
-        print(
-            f"simcheck {tool}: {baseline_path}: unsupported baseline format",
-            file=sys.stderr,
-        )
-        return 2
+    data = json.loads(baseline_path.read_text())
     fired = {f.identity() for f in findings}
+    entries = data.get("findings", [])
     kept = [e for e in entries if e.get("fingerprint") in fired]
     pruned = [e for e in entries if e.get("fingerprint") not in fired]
     for entry in pruned:
@@ -251,375 +228,98 @@ def _prune_baseline(
     if pruned:
         data["findings"] = kept
         baseline_path.write_text(json.dumps(data, indent=2) + "\n")
-    print(
-        f"simcheck {tool}: pruned {len(pruned)} stale entr"
-        f"{'y' if len(pruned) == 1 else 'ies'}, kept {len(kept)}",
-        file=sys.stderr,
-    )
+    _say(tool, f"pruned {len(pruned)} stale entr"
+               f"{'y' if len(pruned) == 1 else 'ies'}, kept {len(kept)}")
     return 0
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    from .kernel import analyze_kernel, render_json, render_table
+def _gate(p: Pass, args: argparse.Namespace) -> Tuple[int, List[Finding]]:
+    """Run one pass, service the baseline flags, print and gate.
 
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck kernel: not a directory: {root}", file=sys.stderr)
-        return 2
-
-    analysis = analyze_kernel(root)
-    if args.verbose:
-        for note in analysis.notes:
-            print(note, file=sys.stderr)
-    if analysis.report is None:
-        print(
-            "simcheck kernel: no per-cycle driver loop found; "
-            "nothing to analyze",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.report:
-        Path(args.report).write_text(render_json(analysis.report))
-        print(
-            f"simcheck kernel: wrote report to {args.report}", file=sys.stderr
-        )
-
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "kernel", args, analysis.findings
-    )
-    if handled is not None:
-        return handled
-    if args.format == "table":
-        print(render_table(analysis.report), end="")
-        for finding in new:
-            print(finding.render())
-    else:
-        _emit_findings("kernel", new, args.format)
-    _report_baseline_noise("kernel", suppressed, stale)
-
-    status = 0
-    unknown = analysis.unknown_fields
-    if unknown:
-        for f in unknown:
-            print(
-                f"simcheck kernel: UNCLASSIFIED field {f.key} "
-                f"(written at {f.where}) — extend the coupling analysis",
-                file=sys.stderr,
-            )
-        print(
-            f"simcheck kernel: {len(unknown)} field(s) could not be "
-            "classified; the coupling report is incomplete",
-            file=sys.stderr,
-        )
-        status = 1
-    if new:
-        print(
-            f"simcheck kernel: {len(new)} new PERF finding(s) — fix them "
-            "or baseline with a justification",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
-
-
-def _cmd_purity(args: argparse.Namespace) -> int:
-    from .purity import analyze_purity
-    from .purity import render_table as render_purity_table
-
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck purity: not a directory: {root}", file=sys.stderr)
-        return 2
-
-    analysis = analyze_purity(root)
-    if args.verbose:
-        for note in analysis.notes:
-            print(note, file=sys.stderr)
-    if analysis.model is None:
-        print(
-            "simcheck purity: no cache-key builder found; nothing to analyze",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(analysis.report, indent=2) + "\n"
-        )
-        print(
-            f"simcheck purity: wrote report to {args.report}", file=sys.stderr
-        )
-
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "purity", args, analysis.findings
-    )
-    if handled is not None:
-        return handled
-    if args.format == "table":
-        print(render_purity_table(analysis.report, new), end="")
-    else:
-        _emit_findings("purity", new, args.format)
-    _report_baseline_noise("purity", suppressed, stale)
-    if new:
-        print(
-            f"simcheck purity: {len(new)} new finding(s) — fix them or "
-            "baseline with a justification",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    from .schedule import analyze_schedule, render_json, render_table
-
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck schedule: not a directory: {root}", file=sys.stderr)
-        return 2
-
-    analysis = analyze_schedule(root)
-    if args.verbose:
-        for note in analysis.notes:
-            print(note, file=sys.stderr)
-    if analysis.report is None:
-        print(
-            "simcheck schedule: no per-cycle driver loop found; "
-            "nothing to analyze",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.report and not args.no_report:
-        report_path = Path(args.report)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(render_json(analysis.report))
-        print(
-            f"simcheck schedule: wrote report to {report_path}",
-            file=sys.stderr,
-        )
-
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "schedule", args, analysis.findings
-    )
-    if handled is not None:
-        return handled
-    if args.format == "table":
-        print(render_table(analysis.report), end="")
-        for finding in new:
-            print(finding.render())
-    else:
-        _emit_findings("schedule", new, args.format)
-    _report_baseline_noise("schedule", suppressed, stale)
-
-    status = 0
-    unknown = analysis.unknown_types
-    if unknown:
-        for ft in unknown:
-            print(
-                f"simcheck schedule: UNKNOWN dtype for field {ft.key} "
-                f"({'; '.join(ft.evidence) or 'no evidence'}) — extend the "
-                "dtype inference",
-                file=sys.stderr,
-            )
-        print(
-            f"simcheck schedule: {len(unknown)} field(s) have no inferred "
-            "dtype; the kernel contract is incomplete",
-            file=sys.stderr,
-        )
-        status = 1
-    if new:
-        print(
-            f"simcheck schedule: {len(new)} new SCHED finding(s) — fix them "
-            "or baseline with a justification",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.validate:
-        violations = _validate_schedule(analysis.report, args)
-        if violations is None:
-            status = max(status, 2)
-        elif violations:
-            for msg in violations:
-                print(f"simcheck schedule: VALIDATE {msg}", file=sys.stderr)
-            print(
-                f"simcheck schedule: validation run violated the static "
-                f"schedule ({len(violations)} violation(s))",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                "simcheck schedule: validation run refines the static "
-                "schedule (validator clean)",
-                file=sys.stderr,
-            )
-    return status
-
-
-def _validate_schedule(report, args: argparse.Namespace):
-    """Replay a short reference run against the static schedule.
-
-    Returns the violation list, or None when the run itself failed.
+    Returns ``(exit status, unbaselined findings)``; the one code path
+    behind both ``simcheck <pass>`` and every pass of ``simcheck all``.
     """
-    # Imported lazily: static analysis must not drag the simulator in.
-    from ..config import CMPConfig
-    from ..sim.cmp import CMPSimulator
-    from ..sim.engine import resolve_engine
-    from .schedule import ScheduleValidator
-
-    engine = resolve_engine(args.validate_engine)
-    cfg = CMPConfig(num_cores=args.validate_cores).with_engine(engine)
-    program = _make_smoke_program(args.validate_cores, args.validate_work)
-    sim = CMPSimulator(cfg, program, technique="ptb", ptb_policy="dynamic")
-    # The fast engine runs fast-forwarded cycles without cycle-carrying
-    # entries; the validator needs the rollover reading for those.
-    validator = ScheduleValidator(
-        report, cycleless_rollover=(engine == "fast")
-    ).attach(sim)
-    if not validator.wrapped:
-        print(
-            "simcheck schedule: validator wrapped no stage entries; "
-            "the report does not match the simulator",
-            file=sys.stderr,
-        )
-        return None
+    baseline_path = Path(args.baseline) if args.baseline else None
+    for flag in ("prune_baseline", "write_baseline"):
+        if getattr(args, flag) and baseline_path is None:
+            _say(p.name, f"--{flag.replace('_', '-')} requires --baseline FILE")
+            return 2, []
     try:
-        result = sim.run(args.validate_cycles)
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"simcheck schedule: validation run failed: {exc}",
-              file=sys.stderr)
-        return None
-    print(
-        f"simcheck schedule: validation run ({engine} engine) "
-        f"{result.cycles} cycles, "
-        f"{validator.wrapped} entries wrapped, "
-        f"{len(validator.calls)} calls recorded",
-        file=sys.stderr,
-    )
-    return validator.violations()
+        baseline = load_baseline(baseline_path) if baseline_path else {}
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        _say(p.name, exc)
+        return 2, []
+
+    analysis = p.analyze(args)
+    if args.verbose:
+        for note in analysis.notes:
+            print(note, file=sys.stderr)
+    if analysis.error:
+        _say(p.name, analysis.error)
+        return 2, []
+    if args.report and analysis.report is not None:
+        Path(args.report).write_text(json.dumps(analysis.report, indent=2) + "\n")
+        _say(p.name, f"wrote report to {args.report}")
+
+    if args.prune_baseline:
+        return _prune_baseline(p.name, baseline_path, analysis.findings), []
+    if args.write_baseline:
+        count = write_baseline(baseline_path, analysis.findings, baseline)
+        _say(p.name, f"wrote {count} baseline entries to {baseline_path}")
+        return 0, []
+
+    new, suppressed, stale = apply_baseline(analysis.findings, baseline)
+    if args.format == "table":
+        print(p.table(analysis.report, new), end="")
+    else:
+        _emit_findings(p.name, new, args.format)
+    if suppressed:
+        _say(p.name, f"{len(suppressed)} baselined finding(s) suppressed")
+    for fp in stale:
+        _say(p.name, f"stale baseline entry (no longer fires): {fp}")
+    if new:
+        _say(p.name, f"{len(new)} new finding(s) — fix them or baseline "
+                     "with a justification")
+        return 1, new
+    return 0, new
 
 
-#: Pass order and default baseline for ``simcheck all``.
-_ALL_BASELINES = (
-    ("lint", ".simcheck-lint-baseline.json"),
-    ("flow", ".simcheck-baseline.json"),
-    ("kernel", ".simcheck-kernel-baseline.json"),
-    ("purity", ".simcheck-purity-baseline.json"),
-    ("schedule", ".simcheck-schedule-baseline.json"),
-)
+def _cmd_pass(args: argparse.Namespace) -> int:
+    return _gate(PASSES[args.command], args)[0]
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    """Run every analysis pass once: one gate, one merged SARIF."""
-    from .flow import analyze_package, apply_baseline, load_baseline
-    from .kernel import analyze_kernel
-    from .kernel import render_json as render_kernel_json
-    from .purity import analyze_purity
+    """Run every registered pass once: one gate, one merged SARIF."""
     from .sarif import merge_sarif, sarif_document
-    from .schedule import analyze_schedule
-    from .schedule import render_json as render_schedule_json
 
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck all: not a directory: {root}", file=sys.stderr)
-        return 2
     reports_dir = Path(args.reports_dir)
     reports_dir.mkdir(parents=True, exist_ok=True)
 
+    parser = build_parser()
     status = 0
     docs = []
-    baseline_of = dict(_ALL_BASELINES)
-
-    def gate(tool: str, findings: Sequence[Finding]) -> None:
-        nonlocal status
-        baseline = {}
-        baseline_path = Path(baseline_of[tool])
-        if baseline_path.is_file():
-            try:
-                baseline = load_baseline(baseline_path)
-            except (ValueError, OSError, json.JSONDecodeError) as exc:
-                print(f"simcheck {tool}: {exc}", file=sys.stderr)
-                status = max(status, 2)
-        new, suppressed, stale = apply_baseline(findings, baseline)
-        _emit_findings(tool, new, "text")
-        _report_baseline_noise(tool, suppressed, stale)
-        docs.append(sarif_document(tool, new))
-        if new:
-            print(
-                f"simcheck {tool}: {len(new)} new finding(s)",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
-
-    gate("lint", lint_paths([str(root)]))
-
-    flow_findings, flow_notes = analyze_package(root)
-    if args.verbose:
-        for note in flow_notes:
-            print(note, file=sys.stderr)
-    gate("flow", flow_findings)
-
-    kernel_analysis = analyze_kernel(root)
-    if kernel_analysis.report is None:
-        print("simcheck kernel: no per-cycle driver loop found", file=sys.stderr)
-        status = max(status, 2)
-    else:
-        (reports_dir / "kernel-report.json").write_text(
-            render_kernel_json(kernel_analysis.report)
+    for p in PASSES.values():
+        pass_args = parser.parse_args(
+            [p.name, str(args.path), "--baseline", p.baseline]
         )
-        gate("kernel", kernel_analysis.findings)
-        if kernel_analysis.unknown_fields:
-            print(
-                f"simcheck kernel: {len(kernel_analysis.unknown_fields)} "
-                "unclassified field(s)",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
-
-    purity_analysis = analyze_purity(root)
-    if purity_analysis.model is None:
-        print("simcheck purity: no cache-key builder found", file=sys.stderr)
-        status = max(status, 2)
-    else:
-        (reports_dir / "purity-report.json").write_text(
-            json.dumps(purity_analysis.report, indent=2) + "\n"
-        )
-        gate("purity", purity_analysis.findings)
-
-    schedule_analysis = analyze_schedule(root)
-    if schedule_analysis.report is None:
-        print("simcheck schedule: no per-cycle driver loop found", file=sys.stderr)
-        status = max(status, 2)
-    else:
-        (reports_dir / "schedule-report.json").write_text(
-            render_schedule_json(schedule_analysis.report)
-        )
-        gate("schedule", schedule_analysis.findings)
-        if schedule_analysis.unknown_types:
-            print(
-                f"simcheck schedule: {len(schedule_analysis.unknown_types)} "
-                "field(s) with unknown dtype",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
+        pass_args.verbose = args.verbose
+        pass_args.report = str(reports_dir / f"{p.name}-report.json")
+        code, new = _gate(p, pass_args)
+        status = max(status, code)
+        docs.append(sarif_document(p.name, new))
 
     sarif_path = reports_dir / "simcheck.sarif"
     sarif_path.write_text(
         json.dumps(merge_sarif(docs), indent=2, sort_keys=True) + "\n"
     )
-    print(
-        f"simcheck all: {len(docs)} passes gated, merged SARIF at "
-        f"{sarif_path}, reports in {reports_dir}/ — "
-        f"{'CLEAN' if status == 0 else 'FAILED'}",
-        file=sys.stderr,
-    )
+    _say("all", f"{len(docs)} passes gated, merged SARIF at {sarif_path}, "
+                f"reports in {reports_dir}/ — "
+                f"{'CLEAN' if status == 0 else 'FAILED'}")
     return status
 
 
 def _make_smoke_program(num_threads: int, work: int):
-    """Tiny lock+barrier reference program shared by smoke and validate."""
+    """Tiny lock+barrier reference program for the sanitized smoke run."""
     # Imported lazily: lint must not drag the simulator (and numpy) in.
     from ..trace.phases import (
         BarrierPhase,
@@ -659,11 +359,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     bad = [p for p in policies if p not in ("toall", "toone", "dynamic")]
     if bad or not policies:
-        print(
-            f"simcheck smoke: unknown policy {', '.join(bad) or '(none)'} — "
-            "choose from toall, toone, dynamic",
-            file=sys.stderr,
-        )
+        _say("smoke", f"unknown policy {', '.join(bad) or '(none)'} — "
+                      "choose from toall, toone, dynamic")
         return 2
 
     cfg = replace(CMPConfig(num_cores=args.cores), sanitize=True)
@@ -689,152 +386,47 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.simcheck",
-        description="Simulator-correctness checks: AST lint + sanitized smoke run.",
+        description="Simulator-correctness checks: static passes + "
+        "sanitized smoke run.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="run the SIM lint rules over paths")
-    lint.add_argument("paths", nargs="*", help="files or directories to lint")
-    lint.add_argument("--enable", help="comma-separated rule ids to run exclusively")
-    lint.add_argument("--disable", help="comma-separated rule ids to skip")
-    lint.add_argument(
-        "--config", help="path to config.py for SIM006 (default: autodetect)"
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text)",
-    )
-    _add_baseline_args(lint, ".simcheck-lint-baseline.json")
-    lint.set_defaults(func=_cmd_lint)
-
-    flow = sub.add_parser(
-        "flow",
-        help="whole-program tick-order hazard + unit/dimension analysis",
-    )
-    flow.add_argument("path", help="package root to analyze (e.g. src/repro)")
-    _add_baseline_args(flow, ".simcheck-baseline.json")
-    flow.add_argument(
-        "--no-hazards", action="store_true", help="skip the FLOW pass"
-    )
-    flow.add_argument(
-        "--no-units", action="store_true", help="skip the UNIT pass"
-    )
-    flow.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text)",
-    )
-    flow.add_argument(
-        "--verbose", action="store_true",
-        help="print analysis notes (module count, driver, parse errors)",
-    )
-    flow.set_defaults(func=_cmd_flow)
-
-    kernel = sub.add_parser(
-        "kernel",
-        help="hot-loop PERF lint + per-core/cross-core coupling report",
-    )
-    kernel.add_argument(
-        "path", help="package root to analyze (e.g. src/repro)"
-    )
-    _add_baseline_args(kernel, ".simcheck-kernel-baseline.json")
-    kernel.add_argument(
-        "--report", metavar="FILE",
-        help="write the machine-readable kernel report (kernel-report.json)",
-    )
-    kernel.add_argument(
-        "--format", choices=("text", "json", "sarif", "table"),
-        default="text",
-        help="finding output format; 'table' renders the coupling report",
-    )
-    kernel.add_argument(
-        "--verbose", action="store_true",
-        help="print analysis notes (driver, hot-function count)",
-    )
-    kernel.set_defaults(func=_cmd_kernel)
-
-    purity = sub.add_parser(
-        "purity",
-        help="cache-key soundness (KEY rules) + worker purity (PURE rules)",
-    )
-    purity.add_argument(
-        "path", help="package root to analyze (e.g. src/repro)"
-    )
-    _add_baseline_args(purity, ".simcheck-purity-baseline.json")
-    purity.add_argument(
-        "--report", metavar="FILE",
-        help="write the machine-readable purity report (purity-report.json)",
-    )
-    purity.add_argument(
-        "--format", choices=("text", "json", "sarif", "table"),
-        default="text",
-        help="finding output format; 'table' renders the coverage report",
-    )
-    purity.add_argument(
-        "--verbose", action="store_true",
-        help="print analysis notes (cache module, reachable-function count)",
-    )
-    purity.set_defaults(func=_cmd_purity)
-
-    schedule = sub.add_parser(
-        "schedule",
-        help="stage-schedule extraction + dtype inference (SoA kernel contract)",
-    )
-    schedule.add_argument(
-        "path", help="package root to analyze (e.g. src/repro)"
-    )
-    _add_baseline_args(schedule, ".simcheck-schedule-baseline.json")
-    schedule.add_argument(
-        "--report", metavar="FILE", default="reports/schedule-report.json",
-        help="write the machine-readable schedule report "
-        "(default: reports/schedule-report.json)",
-    )
-    schedule.add_argument(
-        "--no-report", action="store_true",
-        help="skip writing the schedule report file",
-    )
-    schedule.add_argument(
-        "--format", choices=("text", "json", "sarif", "table"),
-        default="text",
-        help="finding output format; 'table' renders the stage schedule",
-    )
-    schedule.add_argument(
-        "--validate", action="store_true",
-        help="replay a short reference run against the static schedule",
-    )
-    schedule.add_argument("--validate-cores", type=int, default=2)
-    schedule.add_argument("--validate-work", type=int, default=400)
-    schedule.add_argument("--validate-cycles", type=int, default=30_000)
-    schedule.add_argument(
-        "--validate-engine", default=None,
-        choices=["auto", "reference", "fast"],
-        help="cycle engine for the validation run (default: REPRO_ENGINE, "
-             "else reference); with 'fast' the validator checks the "
-             "engine's real-cycle stepping against the static schedule",
-    )
-    schedule.add_argument(
-        "--verbose", action="store_true",
-        help="print analysis notes (driver, phase/edge/stage counts)",
-    )
-    schedule.set_defaults(func=_cmd_schedule)
+    for p in PASSES.values():
+        cmd = sub.add_parser(p.name, help=p.help)
+        p.add_args(cmd)
+        cmd.add_argument(
+            "--baseline",
+            help="baseline JSON of accepted findings, fail only on "
+            f"regressions (e.g. {p.baseline})",
+        )
+        cmd.add_argument(
+            "--write-baseline", action="store_true",
+            help="rewrite the baseline from current findings and exit 0",
+        )
+        cmd.add_argument(
+            "--prune-baseline", action="store_true",
+            help="drop baseline entries that no longer fire and report them",
+        )
+        cmd.add_argument(
+            "--format", default="text",
+            choices=("text", "json", "sarif") + (("table",) if p.table else ()),
+            help="finding output format (default: text)",
+        )
+        cmd.set_defaults(func=_cmd_pass, verbose=False, report=None)
 
     allcmd = sub.add_parser(
-        "all",
-        help="run lint+flow+kernel+purity+schedule with default baselines",
+        "all", help=f"run {'+'.join(PASSES)} with default baselines"
     )
     allcmd.add_argument(
-        "path", help="package root to analyze (e.g. src/repro)"
+        "path", type=_package_dir,
+        help="package root to analyze (e.g. src/repro)",
     )
     allcmd.add_argument(
         "--reports-dir", default="reports",
-        help="directory for kernel/schedule reports and merged SARIF "
-        "(default: reports)",
+        help="directory for pass reports and merged SARIF (default: reports)",
     )
     allcmd.add_argument(
-        "--verbose", action="store_true",
-        help="print per-pass analysis notes",
+        "--verbose", action="store_true", help="print per-pass analysis notes"
     )
     allcmd.set_defaults(func=_cmd_all)
 

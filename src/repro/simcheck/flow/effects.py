@@ -476,7 +476,7 @@ class EffectSink:
         """Module-function effects merge like method effects.
 
         ``module``/``fn``/``bindings`` identify the callee so sinks that
-        track *reachability* (the kernel pass) can follow the call; the
+        track *reachability* (the purity pass) can follow the call; the
         default effect-merging sink ignores them.
         """
         if not self.muted:

@@ -52,7 +52,7 @@ ROOT_KEY = "sim"
 #: ``_run_reference`` is ``CMPSimulator``'s lock-step loop — ``run``
 #: itself became an engine dispatcher with no loop, and the *reference*
 #: loop (not ``repro.sim.engine.FastEngine``'s fast-forwarding one) is
-#: the kernel contract the schedule describes.
+#: the per-cycle semantics every engine must reproduce.
 DRIVER_METHODS = ("run", "_run_reference", "tick", "advance", "step")
 
 

@@ -1,10 +1,9 @@
 """``repro.simcheck.purity`` — cache-key soundness + worker purity.
 
-The fourth simcheck pass.  ``lint`` checks local idioms, ``flow``
-checks tick-order soundness, ``kernel`` maps the per-cycle cost — and
-``purity`` proves the result cache can be trusted: ROADMAP item 2's
-simulation service coalesces tenants on the disk-cache key and item 4's
-perf CI compares cached cells, so a key that silently misses an input
+The third simcheck pass.  ``lint`` checks local idioms, ``flow``
+checks tick-order soundness — and ``purity`` proves the result cache
+can be trusted: the simulation service (:mod:`repro.serve`) coalesces
+tenants on the disk-cache key, so a key that silently misses an input
 turns into cross-tenant result corruption, not just a stale file.
 
 Five rules over one shared discovery (:mod:`.cachekey` finds the cache

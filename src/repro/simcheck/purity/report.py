@@ -1,9 +1,9 @@
 """Purity report assembly + table rendering.
 
-The JSON report mirrors the kernel pass's ``kernel-report.json`` role:
-a machine-readable summary the service layer can consume (which inputs
-the key covers, which ambient reads exist and are justified), plus a
-human table for ``--format table``.
+The JSON report (``purity-report.json``) is a machine-readable summary
+the service layer can consume (which inputs the key covers, which
+ambient reads exist and are justified), plus a human table for
+``--format table``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ cache key.
 
 The reachability walk re-drives the flow pass's effect machinery from
 the cache module's worker entry points (``_worker``/``_simulate``)
-exactly the way the kernel pass drives it from the driver loop, with two
-differences:
+instead of the driver loop, with two differences:
 
 * **Constructor interception** — the stock
   :class:`~repro.simcheck.flow.effects.BodyWalker` does not follow bare
@@ -20,9 +19,9 @@ differences:
   constructors to a populated abstract instance and dispatches
   ``__init__`` through the effect sink, which pulls the whole component
   tree into the reachable set.
-* **No observer exclusion** — the kernel pass drops ``simcheck/`` and
-  ``telemetry/`` modules (removable by the zero-cost guard contract);
-  purity must keep them, because ambient reads on the observation plane
+* **No observer exclusion** — ``simcheck/`` and ``telemetry/`` modules
+  are removable by the zero-cost guard contract, but purity must keep
+  them, because ambient reads on the observation plane
   (``REPRO_SANITIZE``, ``REPRO_TELEMETRY``) are exactly what PURE002
   exists to surface and justify.
 

@@ -2,7 +2,7 @@
 
 One static-analysis interchange document per run, minimal but valid for
 GitHub code scanning: a single ``run`` whose driver is the simcheck
-subcommand (``simcheck-lint`` / ``simcheck-flow`` / ``simcheck-kernel``),
+subcommand (``simcheck-lint`` / ``simcheck-flow`` / ``simcheck-purity``),
 one ``result`` per finding, and the pass's line-independent fingerprint
 carried in ``partialFingerprints`` so annotations track findings across
 unrelated edits exactly like the baseline files do.

@@ -48,6 +48,16 @@ class TestPlan:
         # The disk hit is now a free in-memory run.
         assert r2.run("swaptions", 2).cycles == r1.run("swaptions", 2).cycles
 
+    def test_lookup_counts_memo_hits(self, tmp_path):
+        r = ExperimentRunner(cache_dir=tmp_path, **TINY)
+        r.run("swaptions", 2)
+        before = dict(r.stats)
+        assert r.lookup(Recipe("swaptions", 2)) is not None
+        assert r.stats == {**before, "mem_hits": before["mem_hits"] + 1}
+        # A miss still changes no stat.
+        assert r.lookup(Recipe("ocean", 2)) is None
+        assert r.stats == {**before, "mem_hits": before["mem_hits"] + 1}
+
     def test_no_cache_everything_cold(self, tmp_path):
         r1 = ExperimentRunner(cache_dir=tmp_path, **TINY)
         r1.run("swaptions", 2)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.serve.backends import make_backend
 from repro.serve.cli import _parse_addr, build_parser, main
 
 
@@ -21,6 +22,10 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.backend == "process" and args.port == 0
+
+    def test_unknown_backend_names_the_available_ones(self):
+        with pytest.raises(ValueError, match="'process', 'thread'"):
+            make_backend("remote", 1)
 
     def test_submit_requires_connect(self):
         with pytest.raises(SystemExit):

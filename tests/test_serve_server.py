@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.runner import Recipe
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import ServeConfig, ServerStopped, ServerThread
 
 RECIPE = Recipe("swaptions", 2, "ptb", "toall")
 OTHER = Recipe("ocean", 2)
@@ -364,9 +364,22 @@ class TestShutdown:
         with ServerThread(make_config(tmp_path)) as st:
             with ServeClient.connect(st.address) as cli:
                 assert cli.shutdown(drain=True)["reply"] == "shutdown-ok"
-            wait_until(lambda: not st._thread.is_alive() or
-                       st.status()["draining"], timeout=5,
-                       what="drain to start")
+
+            def draining():
+                try:
+                    return st.status()["draining"]
+                except ServerStopped:  # already stopped: drained
+                    return True
+
+            wait_until(draining, timeout=5, what="drain to start")
+
+    def test_status_on_stopped_server_raises_promptly(self, tmp_path):
+        st = ServerThread(make_config(tmp_path)).start()
+        st.stop(drain=True)
+        t0 = time.monotonic()
+        with pytest.raises(ServerStopped, match="stopped"):
+            st.status()
+        assert time.monotonic() - t0 < 1.0
 
     def test_trace_written_at_shutdown(self, tmp_path):
         from repro.telemetry.export import validate_chrome_trace

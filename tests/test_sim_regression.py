@@ -1,10 +1,10 @@
-"""Byte-identical SimResult regression guard for kernel perf fixes.
+"""Byte-identical SimResult regression guard for hot-loop perf fixes.
 
-The simcheck-kernel PERF findings fixed in ``sim/cmp.py``, ``budget/ptb.py``
-and ``budget/controller.py`` (hoisted attribute chains, reused scratch
-buffers, incremental pledge accounting, module-constant technique tuples)
-are pure mechanical rewrites: they must not perturb a single bit of
-simulator output.  If a future "perf-neutral" refactor changes these
+The allocation and attribute-load fixes in ``sim/cmp.py``,
+``budget/ptb.py`` and ``budget/controller.py`` (hoisted attribute chains,
+reused scratch buffers, incremental pledge accounting, module-constant
+technique tuples) are pure mechanical rewrites: they must not perturb a
+single bit of simulator output.  If a future "perf-neutral" refactor changes these
 hashes, it was not neutral.
 
 The hashes were re-captured once, deliberately, when the end-of-run
