@@ -168,8 +168,6 @@ class LocalBudgetController(BudgetController):
                     self.throttled_cycles += 1
                 if telemetry is not None:
                     telemetry.on_throttle(i, int(th.technique))
-            if not execute[i]:
-                self.throttled_cycles += 0  # f-skips tracked by DVFS itself
 
     # -- introspection -----------------------------------------------------
 

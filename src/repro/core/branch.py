@@ -23,7 +23,6 @@ class GsharePredictor:
         if counters & (counters - 1):
             raise ValueError("counter count must be a power of two")
         # Weakly-taken initial state: loops predict well immediately.
-        self._table = bytearray([2]) * 1  # placeholder, replaced below
         self._table = bytearray([2] * counters)
         self._mask = counters - 1
         self.history = 0

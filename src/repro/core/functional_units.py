@@ -12,7 +12,7 @@ multiplier and atomics hold their unit for the full latency.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..config import CoreConfig
 from ..isa.instructions import Kind
@@ -37,7 +37,7 @@ _UNPIPELINED = frozenset(("int_mult", "fp_mult"))
 class FunctionalUnitPool:
     """Earliest-free-unit tracking for all FU pools of one core."""
 
-    __slots__ = ("_pools", "structural_stalls")
+    __slots__ = ("_pools", "_by_kind", "structural_stalls")
 
     def __init__(self, cfg: CoreConfig) -> None:
         self._pools: Dict[str, List[int]] = {
@@ -46,6 +46,11 @@ class FunctionalUnitPool:
             "fp_alu": [0] * cfg.fp_alu,
             "fp_mult": [0] * cfg.fp_mult,
         }
+        #: Kind code -> (that kind's pool, is the pool unpipelined?).
+        self._by_kind: List[Tuple[List[int], bool]] = [
+            (self._pools[_POOL_OF[k]], _POOL_OF[k] in _UNPIPELINED)
+            for k in Kind
+        ]
         self.structural_stalls = 0
 
     def schedule(self, kind: int, ready: int, latency: int) -> int:
@@ -54,18 +59,14 @@ class FunctionalUnitPool:
         Returns the cycle execution *starts* (>= ready); completion is
         ``start + latency`` as computed by the caller.
         """
-        pool_name = _POOL_OF[kind]
-        pool = self._pools[pool_name]
-        # Find the earliest-free unit (pools are tiny: 2-6 entries).
-        best_i = 0
-        best_t = pool[0]
-        for i in range(1, len(pool)):
-            if pool[i] < best_t:
-                best_t = pool[i]
-                best_i = i
-        start = ready if ready >= best_t else best_t
-        if start > ready:
+        pool, unpipelined = self._by_kind[kind]
+        # The earliest-free unit, the lowest-numbered one on a tie (pools
+        # are tiny: 2-6 entries).
+        free = min(pool)
+        if ready >= free:
+            start = ready
+        else:
+            start = free
             self.structural_stalls += 1
-        occupancy = latency if pool_name in _UNPIPELINED else 1
-        pool[best_i] = start + occupancy
+        pool[pool.index(free)] = start + (latency if unpipelined else 1)
         return start

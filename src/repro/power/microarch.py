@@ -85,6 +85,10 @@ class MicroarchThrottle:
             self.engaged_cycles += 1
             self.by_technique[self.technique] += 1
 
+    def advance(self, cycles: int) -> None:
+        """``cycles`` deferred ticks while the technique is ``NONE``."""
+        self._phase = (self._phase + cycles) & 3
+
     @property
     def fetch_allowed(self) -> bool:
         t = self.technique

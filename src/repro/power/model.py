@@ -4,11 +4,17 @@ Power is reported in *energy units* (EU) per cycle.  A core's per-cycle
 power is the sum of:
 
 * **event energy** — each dynamic instruction's base energy
-  (:data:`repro.isa.instructions.BASE_ENERGY`) charged in three slices:
-  30% at fetch/decode/rename, 45% at execute-complete, 25% at commit.
-  Memory-system events (L2, memory, NoC flits, invalidations) charge
-  the Cacti-derived energies of :mod:`repro.power.cacti` when the
-  access completes.
+  (:data:`repro.isa.instructions.BASE_ENERGY`) is split into three
+  slices: 30% at fetch/decode/rename, 45% at execute-complete, 25% at
+  commit.  Only the fetch and commit slices are charged today: the
+  pipeline never writes ``CycleEvents.completed_energy`` (it only
+  resets it), so the 45% term of :meth:`EnergyModel.cycle_power` is
+  always 0.0 and an instruction's event energy is 55% of its base
+  energy.  :attr:`EnergyModel.peak_core_power`, which sets the budget
+  line, counts the full base energy (DESIGN.md §12).  Memory-system
+  events (L2, memory, NoC flits, invalidations) charge the
+  Cacti-derived energies of :mod:`repro.power.cacti` when the access
+  completes.
 * **window occupancy** — every instruction resident in the ROB burns
   one *power-token unit* per cycle (wakeup/select, bypass and regfile
   background activity).  This term is the physical counterpart of the
@@ -26,9 +32,9 @@ so no explicit ``f`` factor appears here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from math import exp as _exp
 
 from ..config import CMPConfig
 from ..isa.instructions import BASE_ENERGY, Kind
@@ -58,7 +64,7 @@ class CycleEvents:
     """Raw event counts of one core in one cycle (pipeline output)."""
 
     fetched_energy: float = 0.0      # sum of BASE_ENERGY over fetched
-    completed_energy: float = 0.0    # over completed
+    completed_energy: float = 0.0    # over completed (never written)
     committed_energy: float = 0.0    # over committed
     n_fetched: int = 0
     n_branches: int = 0
@@ -104,7 +110,7 @@ class EnergyModel:
 
     def leakage(self, v_scale: float, temp_k: float) -> Watts:
         """Leakage power (EU/cycle): ~V x exp(T)."""
-        t_term = math.exp((temp_k - self.temp_ref) / LEAKAGE_TEMP_EFOLD_K)
+        t_term = _exp((temp_k - self.temp_ref) / LEAKAGE_TEMP_EFOLD_K)
         return self.leak_nominal * v_scale * t_term
 
     def clock(self, activity: float, v_scale: float) -> Watts:
@@ -120,39 +126,64 @@ class EnergyModel:
         v_scale: float = 1.0,
         temp_k: float | None = None,
     ) -> Watts:
-        """Total power of one core for one cycle, in EU."""
+        """Total power of one core for one cycle, in EU.
+
+        The same float operations as :meth:`leakage`, :meth:`clock` and
+        the event sum written out in full, with two exact shortcuts: a
+        zero event term is not added (every term is non-negative, so
+        ``x + 0.0 == x``), and the attribute loads are hoisted.
+        """
         temp = self.temp_ref if temp_k is None else temp_k
-        leak = self.leakage(v_scale, temp)
+        leak = self.leak_nominal * v_scale * _exp(
+            (temp - self.temp_ref) / LEAKAGE_TEMP_EFOLD_K)
+        v2 = v_scale * v_scale
+        occupancy = ev.rob_occupancy
         if not ev.active:
             # Frequency-scaled skipped cycle: only gated clock, occupancy
             # hold power and leakage.
-            v2 = v_scale * v_scale
             return (
                 self.clock_power * self.gating_residue * v2
-                + ev.rob_occupancy * self.token_unit * v2 * 0.5
+                + occupancy * self.token_unit * v2 * 0.5
                 + leak
             )
         s = self.struct
-        dyn = (
-            ev.fetched_energy * FETCH_FRAC
-            + ev.completed_energy * COMPLETE_FRAC
-            + ev.committed_energy * COMMIT_FRAC
-            + ev.n_branches * s.bpred_access
-            + ev.l2_accesses * s.l2_access
-            + ev.mem_accesses * s.mem_access
-            + ev.flit_hops * s.noc_flit_hop
-            + ev.invalidations * s.invalidation
-            + ev.rob_occupancy * self.token_unit
-        )
-        if self.charge_ptht:
-            dyn += ev.n_fetched * s.ptht_access
-        activity = min(
-            1.0, (ev.n_fetched + ev.rob_occupancy * 0.02) * self._act_norm * 2.0
-        )
-        v2 = v_scale * v_scale
-        total = dyn * v2 + self.clock(activity, v_scale) + leak
-        if self.ptb_overhead_fraction:
-            total *= 1.0 + self.ptb_overhead_fraction
+        # Summed in a fixed order; a term is skipped only when it is 0.0.
+        dyn = ev.fetched_energy * FETCH_FRAC
+        x = ev.completed_energy
+        if x:
+            dyn += x * COMPLETE_FRAC
+        x = ev.committed_energy
+        if x:
+            dyn += x * COMMIT_FRAC
+        x = ev.n_branches
+        if x:
+            dyn += x * s.bpred_access
+        x = ev.l2_accesses
+        if x:
+            dyn += x * s.l2_access
+        x = ev.mem_accesses
+        if x:
+            dyn += x * s.mem_access
+        x = ev.flit_hops
+        if x:
+            dyn += x * s.noc_flit_hop
+        x = ev.invalidations
+        if x:
+            dyn += x * s.invalidation
+        if occupancy:
+            dyn += occupancy * self.token_unit
+        n_fetched = ev.n_fetched
+        if n_fetched and self.charge_ptht:
+            dyn += n_fetched * s.ptht_access
+        activity = (n_fetched + occupancy * 0.02) * self._act_norm * 2.0
+        if activity > 1.0:
+            activity = 1.0
+        g = self.gating_residue
+        clock = self.clock_power * (g + (1.0 - g) * activity) * v_scale * v_scale
+        total = dyn * v2 + clock + leak
+        overhead = self.ptb_overhead_fraction
+        if overhead:
+            total *= 1.0 + overhead
         return total
 
     # -- derived constants ----------------------------------------------------

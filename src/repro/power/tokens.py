@@ -94,6 +94,14 @@ class TokenAccountant:
     * ``predicted`` — the PTHT-predicted cost of the instructions
       fetched this cycle, used by controllers to act *before* the
       energy is spent.
+
+    ``Core.step`` and its fetch paths do the same integer arithmetic
+    inline, so on the hot path only injected sync instructions call
+    :meth:`on_fetch`.  These methods stay the reference semantics:
+    tests/test_tokens.py checks them, tests/test_pipeline.py replays
+    every core-cycle of a run through them and compares, and the
+    per-core state hashes in tests/test_sim_regression.py were recorded
+    while the core still called them.
     """
 
     __slots__ = ("token_map", "ptht", "consumed", "predicted",

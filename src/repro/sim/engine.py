@@ -52,7 +52,7 @@ from typing import List, Optional
 
 from ..budget.controller import BudgetController, LocalBudgetController
 from ..budget.ptb import PTBController
-from ..core.pipeline import _COMPLETE, _SPIN_PC
+from ..core.pipeline import _ACQ_SPIN, _COMPLETE, _NO_SYNC, _SPIN_PC
 from ..power.model import CycleEvents
 
 __all__ = ["FastEngine", "engine_default", "resolve_engine"]
@@ -297,10 +297,9 @@ class FastEngine:
         throttles = c._throttles
         elapsed = self._th_elapsed
         if throttles is not None and elapsed:
-            # Deferred MicroarchThrottle.tick: while the technique is
-            # NONE a tick only advances the 2-bit duty-cycle phase.
+            # Deferred MicroarchThrottle ticks (the technique is NONE).
             for th in throttles:
-                th._phase = (th._phase + elapsed) & 3
+                th.advance(elapsed)
         self._th_elapsed = 0
 
     # ------------------------------------------------------------------ #
@@ -317,12 +316,12 @@ class FastEngine:
         iteration (``_spin_next`` gate).  ``wake`` is the first cycle
         any of those gates can open.
         """
-        sync = int(core._sync_state)
+        sync = core._sync_state
         nxt = cyc + 1
         rob = core.rob
         poll_lock = None
         poll_bar = None
-        if sync == 0:
+        if sync == _NO_SYNC:
             if len(rob) >= core.rob_entries:
                 # ROB full: _fetch bails out before any side effect.
                 wake = rob[0][_COMPLETE]
@@ -335,7 +334,7 @@ class FastEngine:
                     head = rob[0][_COMPLETE]
                     if head < wake:
                         wake = head
-        elif sync == 2 or sync == 7:  # ACQ_SPIN / BAR_SPIN
+        elif core.is_spinning:
             head = rob[0][_COMPLETE] if rob else _FAR
             spin = (
                 core._spin_next
@@ -345,7 +344,7 @@ class FastEngine:
             wake = head if head < spin else spin
             if wake >= _FAR:
                 return
-            if sync == 2:
+            if sync == _ACQ_SPIN:
                 poll_lock = self.sync.lock(core._sync_obj)
             else:
                 poll_bar = self.sync.barrier(core._sync_obj)
@@ -400,7 +399,7 @@ class FastEngine:
     # ------------------------------------------------------------------ #
 
     def _spin_line(self, core) -> int:
-        if int(core._sync_state) == 2:
+        if core._sync_state == _ACQ_SPIN:
             addr = self.sync.lock(core._sync_obj).addr
         else:
             addr = self.sync.barrier(core._sync_obj).sense_addr
@@ -413,7 +412,7 @@ class FastEngine:
         pred = core.predictor
         pools = core.fus._pools
         sig = (
-            int(core._sync_state), core._sync_obj,
+            core._sync_state, core._sync_obj,
             core._bar_generation, int(core.sync_phase),
         )
         line = self._spin_line(core)
@@ -523,7 +522,7 @@ class FastEngine:
             return False
         # No pending hand-off: entry is only legal while the next flip
         # can still be signalled by a watched-line invalidation.
-        if state == 2:
+        if state == _ACQ_SPIN:
             if self.sync.lock(sig[1]).grant_at.get(i) is not None:
                 return False
         else:
@@ -581,7 +580,7 @@ class FastEngine:
         # store's inject-time invalidation already bumped our epoch — a
         # spinner that re-certified inside that gap would never see
         # another invalidation, so the grant itself must be polled.
-        if int(core._sync_state) == 2:
+        if core._sync_state == _ACQ_SPIN:
             st.poll_lock = self.sync.lock(core._sync_obj)
             st.poll_bar = None
         else:

@@ -137,6 +137,9 @@ def test_telemetry_run_takes_reference_path(monkeypatch):
         raise AssertionError("FastEngine must not run with telemetry on")
 
     monkeypatch.setattr(engine_mod.FastEngine, "__init__", _boom)
+    # The sanity run below needs sanitizers off: REPRO_SANITIZE=1 would
+    # send it to the reference loop too.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
     # Sanity: without telemetry the patched engine would be reached.
     plain = CMPSimulator(CMPConfig(num_cores=2, engine="fast"),

@@ -1,6 +1,10 @@
 """Tests for functional-unit pool scheduling."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CoreConfig
 from repro.core.functional_units import FunctionalUnitPool
@@ -65,3 +69,85 @@ class TestScheduling:
         ]
         # 4 FP mult units, 5-cycle occupancy: waves at 0,0,0,0,5,5,5,5,10,10
         assert starts == [0, 0, 0, 0, 5, 5, 5, 5, 10, 10]
+
+    def test_ties_book_the_lowest_numbered_unit(self, fus):
+        fus.schedule(int(Kind.INT_ALU), ready=0, latency=1)
+        fus.schedule(int(Kind.LOAD), ready=0, latency=1)
+        assert fus._pools["int_alu"] == [1, 1, 0, 0, 0, 0]
+
+
+class _ReferencePool:
+    """The earliest-free scan as first written: a strict ``<`` loop over
+    each pool, so ties go to the lowest-numbered unit.  REPLAY's
+    certificate depends on that tie-break: the int_alu pool alternates
+    between two unit triples in a steady spin loop."""
+
+    POOL_OF = {
+        int(Kind.INT_ALU): "int_alu",
+        int(Kind.INT_MULT): "int_mult",
+        int(Kind.FP_ALU): "fp_alu",
+        int(Kind.FP_MULT): "fp_mult",
+        int(Kind.LOAD): "int_alu",
+        int(Kind.STORE): "int_alu",
+        int(Kind.BRANCH): "int_alu",
+        int(Kind.ATOMIC): "int_alu",
+        int(Kind.NOP): "int_alu",
+    }
+    UNPIPELINED = ("int_mult", "fp_mult")
+
+    def __init__(self, cfg: CoreConfig) -> None:
+        self.pools = {
+            "int_alu": [0] * cfg.int_alu,
+            "int_mult": [0] * cfg.int_mult,
+            "fp_alu": [0] * cfg.fp_alu,
+            "fp_mult": [0] * cfg.fp_mult,
+        }
+        self.structural_stalls = 0
+
+    def schedule(self, kind: int, ready: int, latency: int) -> int:
+        pool_name = self.POOL_OF[kind]
+        pool = self.pools[pool_name]
+        best_i = 0
+        best_t = pool[0]
+        for i in range(1, len(pool)):
+            if pool[i] < best_t:
+                best_t = pool[i]
+                best_i = i
+        start = ready if ready >= best_t else best_t
+        if start > ready:
+            self.structural_stalls += 1
+        occupancy = latency if pool_name in self.UNPIPELINED else 1
+        pool[best_i] = start + occupancy
+        return start
+
+
+_ops = st.lists(
+    st.tuples(
+        st.integers(0, len(Kind) - 1),    # kind
+        st.integers(0, 40),               # ready
+        st.integers(1, 6),                # latency
+    ),
+    max_size=120,
+)
+
+
+class TestMatchesReferenceScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=_ops,
+        sizes=st.tuples(*(st.integers(1, 6) for _ in range(4))),
+        sorted_ready=st.booleans(),
+    )
+    def test_same_starts_pools_and_stalls(self, ops, sizes, sorted_ready):
+        cfg = replace(CoreConfig(), int_alu=sizes[0], int_mult=sizes[1],
+                      fp_alu=sizes[2], fp_mult=sizes[3])
+        if sorted_ready:
+            # Dispatch order: ready cycles never go back, as in the core.
+            ops = sorted(ops, key=lambda op: op[1])
+        fus = FunctionalUnitPool(cfg)
+        ref = _ReferencePool(cfg)
+        for kind, ready, latency in ops:
+            assert (fus.schedule(kind, ready, latency)
+                    == ref.schedule(kind, ready, latency))
+            assert fus._pools == ref.pools
+            assert fus.structural_stalls == ref.structural_stalls

@@ -1,17 +1,31 @@
 """Tests for the out-of-order core model (repro.core.pipeline)."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CMPConfig
-from repro.core.pipeline import Core, SyncPhase
+from repro.core.pipeline import (
+    _ACQ_SPIN,
+    _BAR_SPIN,
+    _BASE_TOK,
+    _DISPATCH,
+    _KIND,
+    _PC,
+    Core,
+    SyncPhase,
+)
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.noc.mesh import Mesh2D
+from repro.sim.cmp import CMPSimulator
 from repro.sync.primitives import SyncDomain
 from repro.trace.generator import ThreadTraceGenerator
 from repro.trace.phases import (
     BarrierPhase,
     ComputePhase,
     LockPhase,
+    ParallelProgram,
     ThreadProgram,
 )
 from repro.isa.instructions import Kind
@@ -189,6 +203,146 @@ class TestSynchronization:
         assert SyncPhase.BUSY in seen
         assert SyncPhase.LOCK_ACQ in seen
         assert SyncPhase.BARRIER in seen
+
+
+class TestSpinFlag:
+    def test_is_spinning_tracks_sync_state_every_step(self, token_map):
+        """``is_spinning`` is an attribute set at the two spin entries and
+        cleared at the two spin exits; it must always agree with the
+        sync-unit state it summarises."""
+        n = 4
+        cfg = CMPConfig(num_cores=n)
+        mesh = Mesh2D(n, cfg.net)
+        hier = MemoryHierarchy(cfg, mesh)
+        dom = SyncDomain(n, mesh)
+        cores = []
+        for tid in range(n):
+            phases = []
+            for b in range(3):
+                # Thread 0 is slow, so the others spin at every barrier;
+                # all four contend for one lock, so some spin on it.
+                phases.append(ComputePhase(60 + 500 * (tid == 0),
+                                           footprint_lines=64))
+                phases.append(LockPhase(0, ComputePhase(
+                    40, footprint_lines=64)))
+                phases.append(BarrierPhase(b))
+            c, _, _ = make_core(phases, cfg=cfg, token_map=token_map,
+                                core_id=tid, n_cores=n, shared=(hier, dom))
+            cores.append(c)
+        spun = set()
+        cycle = 0
+        while not all(c.done for c in cores) and cycle < 200_000:
+            for c in cores:
+                if not c.done:
+                    c.step(cycle)
+                    spinning = c._sync_state in (_ACQ_SPIN, _BAR_SPIN)
+                    assert c.is_spinning == spinning
+                    if spinning:
+                        spun.add(c._sync_state)
+            cycle += 1
+        assert all(c.done for c in cores)
+        assert spun == {_ACQ_SPIN, _BAR_SPIN}
+
+
+def _shadow_accountant(core, stats):
+    """Replay every cycle of ``core`` through a copy of its accountant.
+
+    ``Core.step`` does ``TokenAccountant``'s arithmetic inline.  This
+    wraps ``step`` and ``idle_cycle`` on the instance, feeds a copy of
+    the accountant the cycle's commits and fetches, as read off the ROB,
+    through ``begin_cycle``/``on_commit``/``on_fetch``/``end_cycle``,
+    and asserts the two agree after every cycle.
+    """
+    ref = copy.deepcopy(core.accountant)
+    rob = core.rob
+    step, idle_cycle, sync_commit = core.step, core.idle_cycle, core._sync_commit
+    early = []
+
+    def check() -> None:
+        acc = core.accountant
+        assert (acc.consumed, acc.predicted, acc.total_consumed) == (
+            ref.consumed, ref.predicted, ref.total_consumed)
+        p, q = acc.ptht, ref.ptht
+        assert (p.hits, p.misses, p.updates) == (q.hits, q.misses, q.updates)
+        assert p._tags == q._tags
+        assert p._costs == q._costs
+
+    def on_sync_commit(now):
+        n = len(rob)
+        sync_commit(now)
+        early.extend(list(rob)[n:])
+
+    def on_step(now, fetch_allowed=True, issue_width=None):
+        before = list(rob)
+        del early[:]
+        step(now, fetch_allowed, issue_width)
+        stats["gated"] += not fetch_allowed
+        stats["narrowed"] += issue_width is not None
+        kept = {id(e) for e in rob}
+        committed = [e for e in before if id(e) not in kept]
+        for e in committed:
+            ref.on_commit(e[_PC], e[_BASE_TOK], now - e[_DISPATCH])
+        # A sync instruction injected while another commits (the last
+        # barrier arrival's sense-flip store) is fetched before the
+        # cycle's residency is set, which drops its base and predicted
+        # tokens: the order Core.step has always had.
+        for e in early:
+            assert ref.on_fetch(e[_PC], e[_KIND]) == e[_BASE_TOK]
+        stats["early"] += len(early)
+        ref.begin_cycle(len(before) - len(committed) + len(early))
+        old = {id(e) for e in before} | {id(e) for e in early}
+        for e in rob:
+            if id(e) not in old:
+                assert ref.on_fetch(e[_PC], e[_KIND]) == e[_BASE_TOK]
+                stats["fetched"] += 1
+        ref.end_cycle()
+        check()
+
+    def on_idle_cycle(now):
+        idle_cycle(now)
+        stats["idle"] += 1
+        ref.begin_cycle(len(rob))
+        ref.end_cycle()
+        check()
+
+    core.step = on_step
+    core.idle_cycle = on_idle_cycle
+    core._sync_commit = on_sync_commit
+
+
+class TestInlineTokenBookkeeping:
+    @pytest.mark.parametrize("technique,policy",
+                             [("ptb", "toall"), ("2level", None)])
+    def test_matches_accountant_methods_every_cycle(self, technique, policy):
+        """The inlined token and PTHT bookkeeping equals the
+        ``TokenAccountant`` methods cycle by cycle, on a run whose
+        controller gates fetch and narrows issue.  A 64-row PTHT makes
+        rows alias, so tag replacement is exercised too."""
+        n = 4
+        cfg = CMPConfig(num_cores=n).with_engine("reference")
+        cfg = replace(cfg, power=replace(cfg.power, ptht_entries=64))
+        threads = []
+        for tid in range(n):
+            phases = []
+            for b in range(3):
+                phases.append(ComputePhase(300 + 600 * (tid == 0),
+                                           footprint_lines=256))
+                phases.append(LockPhase(0, ComputePhase(
+                    40, footprint_lines=64)))
+                phases.append(BarrierPhase(b))
+            threads.append(ThreadProgram(thread_id=tid, phases=tuple(phases)))
+        program = ParallelProgram(name="token-replay", threads=tuple(threads))
+        sim = CMPSimulator(cfg, program, technique=technique,
+                           budget_fraction=0.3, ptb_policy=policy)
+        stats = dict.fromkeys(
+            ("idle", "gated", "narrowed", "early", "fetched"), 0)
+        for core in sim.cores:
+            _shadow_accountant(core, stats)
+        result = sim.run(100_000)
+        assert result.completed
+        assert stats["gated"] and stats["narrowed"] and stats["early"]
+        assert stats["idle"] and stats["fetched"]
+        assert sum(c.spin_iterations for c in sim.cores)
 
 
 class TestSpinPowerSignature:

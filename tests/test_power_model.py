@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import CMPConfig
+from repro.config import DVFS_MODES, CMPConfig
 from repro.power.cacti import (
     StructureEnergies,
     cache_access_energy,
@@ -13,6 +15,9 @@ from repro.power.cacti import (
 )
 from repro.power.model import (
     CLOCK_POWER_EU,
+    COMMIT_FRAC,
+    COMPLETE_FRAC,
+    FETCH_FRAC,
     TOKEN_UNIT_EU,
     CycleEvents,
     EnergyModel,
@@ -115,6 +120,92 @@ class TestCyclePower:
         base = model.cycle_power(ev)
         model.ptb_overhead_fraction = 0.01
         assert model.cycle_power(ev) == pytest.approx(base * 1.01)
+
+
+def plain_cycle_power(model, ev, v_scale=1.0, temp_k=None):
+    """``EnergyModel.cycle_power`` as the plain formula: every term
+    summed, zero or not, through the ``leakage`` and ``clock`` methods."""
+    temp = model.temp_ref if temp_k is None else temp_k
+    leak = model.leakage(v_scale, temp)
+    if not ev.active:
+        v2 = v_scale * v_scale
+        return (
+            model.clock_power * model.gating_residue * v2
+            + ev.rob_occupancy * model.token_unit * v2 * 0.5
+            + leak
+        )
+    s = model.struct
+    dyn = (
+        ev.fetched_energy * FETCH_FRAC
+        + ev.completed_energy * COMPLETE_FRAC
+        + ev.committed_energy * COMMIT_FRAC
+        + ev.n_branches * s.bpred_access
+        + ev.l2_accesses * s.l2_access
+        + ev.mem_accesses * s.mem_access
+        + ev.flit_hops * s.noc_flit_hop
+        + ev.invalidations * s.invalidation
+        + ev.rob_occupancy * model.token_unit
+    )
+    if model.charge_ptht:
+        dyn += ev.n_fetched * s.ptht_access
+    activity = min(
+        1.0, (ev.n_fetched + ev.rob_occupancy * 0.02) * model._act_norm * 2.0
+    )
+    v2 = v_scale * v_scale
+    total = dyn * v2 + model.clock(activity, v_scale) + leak
+    if model.ptb_overhead_fraction:
+        total *= 1.0 + model.ptb_overhead_fraction
+    return total
+
+
+# Every counter is exactly zero in about half the draws, so the zero-term
+# shortcuts of cycle_power are taken and skipped in every combination.
+_energy = st.one_of(st.just(0.0), st.floats(0.0, 400.0))
+_count = st.one_of(st.just(0), st.integers(1, 40))
+
+#: Every v_scale a core can run at: the DVFS voltages (DFS keeps 1.0).
+_V_SCALES = sorted({v for v, _ in DVFS_MODES})
+
+
+@st.composite
+def cycle_events(draw):
+    ev = CycleEvents()
+    ev.fetched_energy = draw(_energy)
+    ev.completed_energy = draw(_energy)
+    ev.committed_energy = draw(_energy)
+    ev.n_fetched = draw(_count)
+    ev.n_branches = draw(_count)
+    ev.l2_accesses = draw(_count)
+    ev.mem_accesses = draw(_count)
+    ev.flit_hops = draw(_count)
+    ev.invalidations = draw(_count)
+    ev.rob_occupancy = draw(st.one_of(st.just(0), st.integers(1, 128)))
+    ev.active = draw(st.booleans())
+    return ev
+
+
+#: One model for every draw; each draw sets both overhead switches.
+_MODEL = EnergyModel(CMPConfig(num_cores=4))
+
+
+class TestCyclePowerMatchesPlainFormula:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ev=cycle_events(),
+        v_scale=st.sampled_from(_V_SCALES),
+        temp_k=st.one_of(st.none(), st.floats(300.0, 400.0)),
+        charge_ptht=st.booleans(),
+        overhead=st.booleans(),
+    )
+    def test_bit_identical(self, ev, v_scale, temp_k, charge_ptht, overhead):
+        model = _MODEL
+        model.charge_ptht = charge_ptht
+        model.ptb_overhead_fraction = (
+            model.cfg.ptb.power_overhead if overhead else 0.0
+        )
+        got = model.cycle_power(ev, v_scale, temp_k)
+        want = plain_cycle_power(model, ev, v_scale, temp_k)
+        assert got.hex() == want.hex()
 
 
 class TestLeakage:

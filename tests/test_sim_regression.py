@@ -3,16 +3,33 @@
 The allocation and attribute-load fixes in ``sim/cmp.py``,
 ``budget/ptb.py`` and ``budget/controller.py`` (hoisted attribute chains,
 reused scratch buffers, incremental pledge accounting, module-constant
-technique tuples) are pure mechanical rewrites: they must not perturb a
-single bit of simulator output.  If a future "perf-neutral" refactor changes these
-hashes, it was not neutral.
+technique tuples) are pure mechanical rewrites, and so is the flattened
+stepped core-cycle:
+
+* ``core/pipeline.py`` does the ``TokenAccountant`` begin/fetch/commit/
+  end-of-cycle arithmetic and the PTHT reads and updates inline, keeps
+  the fetch cursor and counters in locals, compares ``_sync_state``
+  against plain int constants and keeps ``is_spinning`` as an attribute;
+* ``core/functional_units.py`` picks the earliest-free unit with
+  ``min()`` + ``list.index()`` from a per-kind table (same first-minimum
+  tie-break);
+* ``power/model.py``'s ``cycle_power`` hoists its attribute loads and
+  skips event terms that are 0.0.
+
+None of them may perturb a single bit of simulator output.  If a future
+"perf-neutral" refactor changes these hashes, it was not neutral.
+
+``SimResult`` bytes do not cover the per-core state that never reaches
+a result but that ``FastEngine`` certifies REPLAY on and rebuilds at
+replay exit: the token accountant, the PTHT rows, the FU pools and the
+gshare table.  ``CORE_STATE_HASHES`` pins that state as well.
 
 The hashes were re-captured once, deliberately, when the end-of-run
 off-by-one in ``CMPSimulator.run`` was fixed (the run loop used to burn
 one extra all-idle cycle after the last thread finished, so every run
 reported one cycle too many): the reference behaviour change moved
-``SEED_CYCLES`` from 1995 to 1994 and shifted every accumulator by one
-gated cycle.
+the PTB runs' ``SEED_CYCLES`` from 1995 to 1994 and shifted every
+accumulator by one gated cycle.
 
 Both engines must reproduce the hashes bit-for-bit — the ``fast``
 parametrization is the regression anchor for ``repro.sim.engine``
@@ -32,7 +49,7 @@ import pickle
 import pytest
 
 from repro.config import CMPConfig
-from repro.sim.cmp import run_simulation
+from repro.sim.cmp import CMPSimulator, run_simulation
 from repro.trace.phases import (
     BarrierPhase,
     ComputePhase,
@@ -42,13 +59,34 @@ from repro.trace.phases import (
 )
 
 # sha256 of pickle.dumps(result, protocol=4) after the end-of-run
-# off-by-one fix (see module docstring).
+# off-by-one fix (see module docstring), and each run's cycle count.
+# Keyed by PTB policy; "2level" (DVFS + microarchitectural techniques,
+# no PTB) was recorded before the stepped core-cycle was flattened.
 SEED_HASHES = {
     "toall": "a4c5585e82c5778a5cfb451d46a2246fdec3efebfe2d51d05b4e02e96d6b60cd",
     "toone": "2b4931b2781de75af1025b75f4aa7b0a2c2da49530860b56cdc20ba6a79e41d3",
     "dynamic": "f97849664942ed52a7ca162fc5120e76b0f035bccb26e5925c56182662ab2c38",
+    "2level": "cc301803a244bf0cc783bbe6d407c0665147ff82138402260337db586e55281f",
 }
-SEED_CYCLES = 1994
+SEED_CYCLES = {"toall": 1994, "toone": 1994, "dynamic": 1994, "2level": 1991}
+
+# sha256 of each core's end-of-run state (see core_state_digest), recorded
+# before the token bookkeeping was inlined into Core.step.  All three PTB
+# policies leave the cores in the same state on this program: the grants
+# move the AoPB budget lines, not what the cores execute.
+_PTB_CORE_STATE = (
+    "e86ffb869f3c8fc50b62ea78d8c751889da3cdbd6dbd8e42e40bae4e98a774b6",
+    "2c558ee8d1bf787757360e8d0976569210a1ed3270ab3113dc09580e970a749e",
+)
+CORE_STATE_HASHES = {
+    "toall": _PTB_CORE_STATE,
+    "toone": _PTB_CORE_STATE,
+    "dynamic": _PTB_CORE_STATE,
+    "2level": (
+        "0eab7f8b016da3b11b82cef837ca6c01f8747200392c9d9da6c98b88c58cce2b",
+        "fe506f137900c6086823a97e7f17038d34e8a4bc9b2d3cf71d7e0a9894fa738c",
+    ),
+}
 
 
 def _make_program(num_threads: int, work: int) -> ParallelProgram:
@@ -72,21 +110,44 @@ def _make_program(num_threads: int, work: int) -> ParallelProgram:
     return ParallelProgram(name="kernel-regression", threads=tuple(threads))
 
 
+def core_state_digest(core) -> str:
+    """sha256 of one core's end-of-run state that no ``SimResult`` holds:
+    token accountant, PTHT, FU pools, gshare predictor and core counters."""
+    acc = core.accountant
+    ptht = acc.ptht
+    pred = core.predictor
+    fus = core.fus
+    h = hashlib.sha256()
+    h.update(repr((
+        acc.consumed, acc.predicted, acc.total_consumed,
+        ptht._tags, ptht._costs, ptht.hits, ptht.misses, ptht.updates,
+        sorted(fus._pools.items()), fus.structural_stalls,
+        pred.history, pred.lookups, pred.mispredictions,
+        core.committed, core.executed_cycles, core.spin_iterations,
+        core.mem_stall_cycles,
+    )).encode())
+    h.update(bytes(pred._table))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("policy", sorted(SEED_HASHES))
 def test_simresult_pickle_identical_to_seed(policy: str, engine: str) -> None:
-    cfg = CMPConfig(num_cores=2)
-    result = run_simulation(
-        cfg,
-        _make_program(2, 600),
-        technique="ptb",
-        ptb_policy=policy,
-        max_cycles=40_000,
-        engine=engine,
+    technique, ptb_policy = (
+        ("2level", None) if policy == "2level" else ("ptb", policy)
     )
-    assert result.cycles == SEED_CYCLES
+    sim = CMPSimulator(
+        CMPConfig(num_cores=2).with_engine(engine),
+        _make_program(2, 600),
+        technique=technique,
+        ptb_policy=ptb_policy,
+    )
+    result = sim.run(40_000)
+    assert result.cycles == SEED_CYCLES[policy]
     blob = pickle.dumps(result, protocol=4)
     assert hashlib.sha256(blob).hexdigest() == SEED_HASHES[policy]
+    digests = tuple(core_state_digest(core) for core in sim.cores)
+    assert digests == CORE_STATE_HASHES[policy]
 
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])
