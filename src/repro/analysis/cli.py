@@ -14,19 +14,18 @@ On a cold cache the CLI unions the recipe lists of every requested
 figure and fans them out over ``--jobs`` worker processes (default:
 ``REPRO_JOBS`` env var, else ``os.cpu_count()``); gather order is
 deterministic, so reports are byte-identical for any worker count.
-Each invocation appends a wall-clock entry to ``BENCH_runner.json``.
+A render that needed the runner ends with a one-line summary of its
+simulate/hit counts and wall time; timing samples with a spread come
+from the repo benchmark (``python -m bench``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from . import experiments as ex
 from .report import (
@@ -215,66 +214,6 @@ RENDERERS: Dict[str, Callable] = {
 }
 
 
-#: Version of the ``BENCH_runner.json`` entry schema.  v2 added
-#: provenance (``git_sha`` + ``schema_version``); entries written
-#: before versioning are stamped v1 on the next rewrite.
-BENCH_SCHEMA_VERSION = 2
-
-
-def _git_sha() -> str:
-    """Short commit SHA of the working tree ("unknown" outside git)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parents[3],
-        )
-        if proc.returncode == 0:
-            return proc.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
-def load_bench(path: Path) -> List[Dict]:
-    """Entries of ``BENCH_runner.json``, legacy entries normalised.
-
-    Every returned entry carries ``schema_version`` and ``git_sha`` keys
-    so consumers see one shape: pre-versioning entries are stamped
-    ``schema_version: 1`` / ``git_sha: None``.  A corrupt or missing
-    file loads as empty, not a crash.
-    """
-    records: List[Dict] = []
-    try:
-        loaded = json.loads(path.read_text())
-        if isinstance(loaded, dict):
-            records = [
-                e for e in loaded.get("entries", []) if isinstance(e, dict)
-            ]
-    except (OSError, ValueError):
-        return []
-    for entry in records:
-        entry.setdefault("schema_version", 1)
-        entry.setdefault("git_sha", None)
-    return records
-
-
-def _emit_bench(path: Path, entry: Dict) -> None:
-    """Append one wall-clock record to ``BENCH_runner.json``.
-
-    The file accumulates entries across invocations (``--jobs 1`` vs
-    ``--jobs 4`` runs land side by side), so speedup comparisons read
-    one file.  Every entry carries provenance (schema version, git SHA,
-    scale) so bench trajectories stay comparable across PRs; legacy
-    entries are normalised in place by :func:`load_bench`.
-    """
-    records = load_bench(path)
-    records.append(entry)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({"entries": records}, indent=2) + "\n")
-    tmp.replace(path)
-
-
 def _truncation_note(runner: ExperimentRunner, name: str) -> str:
     """Footnote naming the figure's truncated runs (empty when none).
 
@@ -321,9 +260,6 @@ def main(argv=None) -> int:
                         help="cycle engine for cold simulations "
                              "(default: REPRO_ENGINE, else reference; "
                              "both produce byte-identical results)")
-    parser.add_argument("--bench-out", default="BENCH_runner.json",
-                        help="wall-clock benchmark record "
-                             "(default ./BENCH_runner.json)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="also run one telemetry-enabled simulation "
                              "of the first requested figure's PTB recipe "
@@ -351,7 +287,6 @@ def main(argv=None) -> int:
     recipes = ex.recipes_for(wanted)
     if recipes:
         runner.run_many(recipes)
-    t_sim = time.perf_counter() - t0
 
     for name in wanted:
         text = RENDERERS[name](runner) + _truncation_note(runner, name)
@@ -364,19 +299,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
     wall = time.perf_counter() - t0
 
-    if recipes:  # static-only renders don't benchmark the runner
-        _emit_bench(Path(args.bench_out), {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "git_sha": _git_sha(),
-            "jobs": runner.jobs,
-            "cpu_count": os.cpu_count(),
-            "scale": str(runner.scale),
-            "engine": runner.engine,
-            "figures": wanted,
-            "simulate_seconds": round(t_sim, 3),
-            "wall_seconds": round(wall, 3),
-            **runner.stats,
-        })
+    if recipes:  # static-only renders never touch the runner
         print(f"[bench] engine={runner.engine} jobs={runner.jobs} "
               f"scale={runner.scale} "
               f"simulated={runner.stats['simulated']} "
@@ -392,7 +315,7 @@ def _run_trace(runner: ExperimentRunner, wanted, path: str) -> None:
     """Trace the first requested figure's PTB recipe to ``path``.
 
     Traced runs bypass the result cache (a cache hit has no live event
-    stream) and the runner's stats, so the bench entry above is
+    stream) and the runner's stats, so the summary line above is
     unaffected.  Lazy import: ``repro.telemetry`` pulls this package
     back in for its summary table.
     """

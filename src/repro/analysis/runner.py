@@ -335,8 +335,9 @@ class ExperimentRunner:
         #: Recipes whose truncation warning was already re-emitted at
         #: gather time (pool workers' warnings die with the worker).
         self._warned_truncated: set = set()
-        #: Plan/fan-out statistics of this runner's lifetime, consumed by
-        #: the CLI's ``BENCH_runner.json`` emitter.
+        #: Plan/fan-out statistics of this runner's lifetime, printed by
+        #: the analysis CLI's summary line and reported by the serve
+        #: layer's status reply.
         self.stats: Dict[str, int] = {
             "planned": 0, "mem_hits": 0, "disk_hits": 0, "simulated": 0,
         }

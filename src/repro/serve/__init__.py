@@ -1,30 +1,27 @@
-"""repro.serve — simulation-as-a-service with token-based balancing.
+"""repro.serve — simulation-as-a-service.
 
 An asyncio job server that accepts sweep requests (lists of
 :class:`~repro.analysis.runner.Recipe`) over a line-delimited JSON
 protocol, coalesces identical in-flight recipes across clients onto
-one simulation, and dispatches to a pluggable worker backend through a
-Comte-style capacity-token scheduler — the service-layer twin of the
-chip's :class:`~repro.budget.ptb.PTBLoadBalancer`.
+one simulation, and dispatches each job to the lowest free slot of a
+pluggable worker backend.
 
 Layout:
 
 * :mod:`.protocol` — wire format, recipe validation;
 * :mod:`.jobs` — job lifecycle + the coalescing registry;
-* :mod:`.tokens` — the capacity-token balancer;
 * :mod:`.backends` — the process and thread worker pools;
 * :mod:`.trace` — JOB_* telemetry and the Perfetto trace exporter;
-* :mod:`.server` — the event loop tying it together;
+* :mod:`.server` — the event loop and slot free list tying it together;
 * :mod:`.client` — the synchronous client;
 * :mod:`.cli` — ``python -m repro.serve`` verbs (serve/submit/status/
-  smoke/bench).
+  smoke).
 """
 
 from .backends import BACKENDS, make_backend
 from .client import JobResult, ServeClient, ServeError, SubmitReply
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import JobServer, ServeConfig, ServerThread
-from .tokens import TokenBalancer
 
 __all__ = [
     "BACKENDS",
@@ -37,6 +34,5 @@ __all__ = [
     "ServeError",
     "ServerThread",
     "SubmitReply",
-    "TokenBalancer",
     "make_backend",
 ]

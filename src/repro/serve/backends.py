@@ -4,8 +4,8 @@ A backend turns one picklable worker spec (from
 :meth:`~repro.analysis.runner.ExperimentRunner.spec_for`) into a
 :class:`concurrent.futures.Future` of a :class:`~repro.sim.results.
 SimResult`.  The server never cares *where* the work runs — it awaits
-the future, and the token balancer already bounds how many are in
-flight — so backends stay small:
+the future, and its slot free list already bounds how many are in
+flight to the backend's ``workers`` — so backends stay small:
 
 * :class:`ProcessPoolBackend` — the default: a
   ``ProcessPoolExecutor`` running :func:`repro.analysis.runner._worker`

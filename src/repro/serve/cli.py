@@ -6,11 +6,11 @@ Verbs::
     submit   send recipes to a running server, print the results
     status   print a running server's status document
     smoke    self-contained coalescing smoke test (the CI gate)
-    bench    N clients x M recipes throughput micro-bench -> BENCH_serve.json
 
-``smoke`` and ``bench`` are self-contained: they start their own server
-on a background thread (unix socket in a temp dir), drive it with real
-socket clients, and tear it down — no daemon management needed in CI.
+``smoke`` is self-contained: it starts its own server on a background
+thread (unix socket in a temp dir), drives it with real socket clients,
+and tears it down — no daemon management needed in CI.  Throughput and
+latency are measured by the repo benchmark (``python -m bench``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 import tempfile
 import threading
@@ -44,8 +43,6 @@ def _add_server_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=BACKENDS, default="process")
     p.add_argument("--workers", type=int, default=None,
                    help="worker slots (default: cpu count)")
-    p.add_argument("--capacity", type=int, default=1,
-                   help="capacity tokens per worker slot")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="pending jobs admitted before REJECTED")
     p.add_argument("--timeout", type=float, default=None,
@@ -62,18 +59,15 @@ def _add_server_opts(p: argparse.ArgumentParser) -> None:
                    help="write a Perfetto trace here at shutdown")
 
 
-def _config_from(args: argparse.Namespace, **over) -> ServeConfig:
-    kw = dict(
+def _config_from(args: argparse.Namespace) -> ServeConfig:
+    return ServeConfig(
         unix_path=args.unix, host=args.host, port=args.port,
         backend=args.backend, workers=args.workers,
-        token_capacity=args.capacity, queue_limit=args.queue_limit,
-        job_timeout=args.timeout, scale=args.scale,
-        max_cycles=args.max_cycles, seed=args.seed, engine=args.engine,
-        cache_dir=args.cache_dir, use_cache=not args.no_cache,
-        trace_path=args.trace,
+        queue_limit=args.queue_limit, job_timeout=args.timeout,
+        scale=args.scale, max_cycles=args.max_cycles, seed=args.seed,
+        engine=args.engine, cache_dir=args.cache_dir,
+        use_cache=not args.no_cache, trace_path=args.trace,
     )
-    kw.update(over)
-    return ServeConfig(**kw)
 
 
 def _add_client_opts(p: argparse.ArgumentParser) -> None:
@@ -240,96 +234,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Throughput/latency micro-bench -> ``BENCH_serve.json``.
-
-    ``--clients`` concurrent connections each submit the same
-    ``--recipes``-recipe sweep twice: a *cold* pass (empty cache, every
-    job simulated once, coalescing absorbs the duplicates) and a *warm*
-    pass (every job answered from cache).  Entries share the
-    ``schema_version``/``git_sha`` provenance of ``BENCH_runner.json``.
-    """
-    from ..analysis.cli import BENCH_SCHEMA_VERSION, _emit_bench, _git_sha
-    from ..workloads.characteristics import BENCHMARK_ORDER
-
-    tmp = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-    techniques = ("none", "ptb")
-    sweep = [
-        Recipe(BENCHMARK_ORDER[i % len(BENCHMARK_ORDER)], 4,
-               techniques[i % len(techniques)],
-               "dynamic" if techniques[i % len(techniques)] == "ptb"
-               else None)
-        for i in range(args.recipes)
-    ]
-    config = ServeConfig(
-        unix_path=str(tmp / "serve.sock"), backend=args.backend,
-        workers=args.workers, queue_limit=max(64, args.recipes * 2),
-        scale="tiny", max_cycles=120_000, cache_dir=str(tmp / "cache"),
-    )
-
-    def _pass(st: ServerThread, name: str) -> Dict:
-        lat: List[float] = []
-        errs: List[str] = []
-
-        def _client() -> None:
-            try:
-                with ServeClient.connect(st.address) as cli:
-                    t0 = time.perf_counter()
-                    reply = cli.submit(sweep)
-                    lat.append(time.perf_counter() - t0)
-                    bad = [r for r in reply.results if not r.ok]
-                    if bad or reply.rejected:
-                        errs.append(f"{len(bad)} failed, "
-                                    f"{len(reply.rejected)} rejected")
-            except Exception as exc:
-                errs.append(repr(exc))
-
-        t0 = time.perf_counter()
-        threads = [threading.Thread(target=_client)
-                   for _ in range(args.clients)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=600)
-        wall = time.perf_counter() - t0
-        if errs:
-            raise SystemExit(f"bench {name} pass failed: {errs}")
-        jobs = args.clients * args.recipes
-        return {
-            "wall_seconds": round(wall, 3),
-            "jobs_per_second": round(jobs / wall, 1) if wall else None,
-            "client_latency_max_s": round(max(lat), 3),
-            "client_latency_mean_s": round(sum(lat) / len(lat), 3),
-        }
-
-    with ServerThread(config) as st:
-        cold = _pass(st, "cold")
-        warm = _pass(st, "warm")
-        status = st.status()
-
-    entry = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "git_sha": _git_sha(),
-        "kind": "serve",
-        "backend": config.backend,
-        "workers": len(status["balancer"]["workers"]),
-        "token_capacity": status["balancer"]["capacity"],
-        "cpu_count": os.cpu_count(),
-        "clients": args.clients,
-        "recipes_per_client": args.recipes,
-        "scale": "tiny",
-        "cold": cold,
-        "warm": warm,
-        "coalesced_jobs": status["stats"]["jobs_coalesced"],
-        "cache_hits": status["stats"]["cache_hits"],
-        "simulated_jobs": status["stats"]["jobs_done"],
-    }
-    _emit_bench(Path(args.bench_out), entry)
-    print(json.dumps(entry, indent=2))
-    print(f"appended to {args.bench_out}")
-    return 0
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -368,16 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--trace", metavar="PATH", default=None)
     p.set_defaults(fn=_cmd_smoke)
-
-    p = sub.add_parser(
-        "bench", help="client/recipe throughput bench -> BENCH_serve.json"
-    )
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--recipes", type=int, default=8)
-    p.add_argument("--backend", choices=BACKENDS, default="thread")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--bench-out", default="BENCH_serve.json")
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

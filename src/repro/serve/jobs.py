@@ -25,7 +25,7 @@ __all__ = ["Job", "JobRegistry", "PENDING", "RUNNING", "DONE", "ERROR",
 
 # Job states.  A job is *live* (indexed by key, coalescable) until it
 # reaches a terminal state.
-PENDING = "pending"        # queued, waiting for a worker token
+PENDING = "pending"        # queued, waiting for a free worker slot
 RUNNING = "running"        # dispatched to a backend worker
 DONE = "done"              # result available
 ERROR = "error"            # the simulation raised

@@ -8,9 +8,9 @@ single event loop:
   identity, sound per the purity pass);
 * a :class:`~repro.serve.jobs.JobRegistry` — one live job per distinct
   key, refcounted waiters;
-* a :class:`~repro.serve.tokens.TokenBalancer` — the Comte-style
-  scheduler: dispatch spends a capacity token from the slot with the
-  most headroom, completions return tokens through the central pool;
+* a free list of worker slot ids, one per backend worker: dispatch
+  takes the lowest free id, and the id returns to the list when the
+  backend future of the job that held it completes;
 * a pluggable :class:`~repro.serve.backends.Backend` that actually
   executes the cache-aware worker function.
 
@@ -22,16 +22,17 @@ overload degrades into fast failures instead of memory growth.
 
 Failure semantics: a disconnecting client detaches its waiters; a
 still-queued job whose last waiter leaves is cancelled before it ever
-costs a worker token.  A *running* job that loses its waiters runs to
+takes a worker slot.  A *running* job that loses its waiters runs to
 completion anyway — the result still warms the shared cache, so the
 work is never wasted.  Timeouts resolve the waiters immediately, but
-the worker's token only returns to the pool when the slot is actually
-free again (the backend future completes), keeping the token <->
-capacity correspondence exact.
+the slot is only freed when the backend future completes: a timed-out
+simulation still occupies its thread or process, so at most
+``workers`` jobs are ever inside the executor and a job's timeout
+never runs while it waits there for a worker.
 
 Everything the server does is observable on the shared telemetry bus
-(JOB_* events, queue-depth and token gauges); ``trace_path`` renders
-it as a Perfetto trace with one track per worker — the service-layer
+(JOB_* events, queue-depth gauge); ``trace_path`` renders it as a
+Perfetto trace with one track per worker slot — the service-layer
 twin of the chip trace.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import heapq
 import pickle
 import threading
 import time
@@ -46,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..analysis.runner import ExperimentRunner, Recipe
+from ..analysis.runner import ExperimentRunner
 from . import protocol
 from .backends import Backend, make_backend
 from .jobs import (
@@ -59,7 +61,6 @@ from .jobs import (
     Job,
     JobRegistry,
 )
-from .tokens import TokenBalancer
 from .trace import ServeTelemetry, write_serve_trace
 
 __all__ = ["ServeConfig", "JobServer", "ServerStopped", "ServerThread"]
@@ -81,7 +82,6 @@ class ServeConfig:
     port: int = 0                       # 0 = ephemeral
     backend: str = "process"
     workers: Optional[int] = None       # default: os.cpu_count()
-    token_capacity: int = 1             # capacity tokens per worker slot
     queue_limit: int = 64               # pending jobs before REJECTED
     job_timeout: Optional[float] = None  # seconds; None = unbounded
     scale: Optional[str] = None         # runner knobs, as in repro.analysis
@@ -132,8 +132,8 @@ class JobServer:
             use_cache=config.use_cache, jobs=1, engine=config.engine,
         )
         self.backend: Backend = make_backend(config.backend, workers)
-        self.balancer = TokenBalancer(self.backend.workers,
-                                      config.token_capacity)
+        #: Free worker slot ids, a min-heap: dispatch takes the lowest.
+        self._free: List[int] = list(range(self.backend.workers))
         self.registry = JobRegistry()
         self.telemetry = ServeTelemetry(self.backend.workers)
         if config.queue_limit < 1:
@@ -171,7 +171,6 @@ class JobServer:
                 limit=protocol.MAX_LINE_BYTES,
             )
         self._dispatch_task = asyncio.create_task(self._dispatcher())
-        self.telemetry.set_tokens(self.balancer.pool, self.balancer.tokens)
 
     @property
     def address(self):
@@ -265,7 +264,10 @@ class JobServer:
                 protocol.recipe_to_wire(j.recipe)
                 for j in self.registry.live_jobs()
             ],
-            "balancer": self.balancer.snapshot(),
+            "slots": self.backend.workers,
+            "busy_slots": sorted(
+                set(range(self.backend.workers)) - set(self._free)
+            ),
             "stats": self.stats,
             "runner": dict(self.runner.stats),
         }
@@ -340,8 +342,8 @@ class JobServer:
             if not fut.done():
                 fut.cancel()
             if job.state == PENDING and not job.waiters:
-                # Still queued and nobody cares any more: never spend a
-                # worker token on it.
+                # Still queued and nobody cares any more: never give it
+                # a worker slot.
                 try:
                     self._queue.remove(job)
                 except ValueError:
@@ -519,7 +521,7 @@ class JobServer:
     # -- dispatch -----------------------------------------------------------
 
     async def _dispatcher(self) -> None:
-        """Assign queued jobs to the worker slot with the most headroom."""
+        """Assign queued jobs to the lowest free worker slots."""
         assert self._kick_event is not None
         while True:
             await self._kick_event.wait()
@@ -529,41 +531,38 @@ class JobServer:
             if self._paused:
                 continue
             dispatched = False
-            while self._queue:
-                worker = self.balancer.grant()
-                if worker is None:
-                    break  # saturated: wait for a token to return
+            while self._queue and self._free:
+                slot = heapq.heappop(self._free)
                 job = self._queue.popleft()
-                task = asyncio.create_task(self._run_job(job, worker))
+                task = asyncio.create_task(self._run_job(job, slot))
                 self._job_tasks[task] = None
                 task.add_done_callback(
                     lambda t: self._job_tasks.pop(t, None))
                 dispatched = True
             if dispatched:
                 self.telemetry.set_queue_depth(len(self._queue))
-                self.telemetry.set_tokens(self.balancer.pool,
-                                          self.balancer.tokens)
 
-    async def _run_job(self, job: Job, worker: int) -> None:
+    async def _run_job(self, job: Job, slot: int) -> None:
         tel = self.telemetry
         job.state = RUNNING
-        job.worker = worker
+        job.worker = slot
         job.started_us = tel.now_us()
         loop = asyncio.get_running_loop()
         try:
             cfut = self.backend.submit(self.runner.spec_for(job.recipe))
         except Exception as exc:
             job.error = f"backend submit failed: {exc}"
-            self._slot_freed()
+            self._slot_freed(slot)
             self._finish_job(job, ERROR)
             return
-        # The token returns when the slot is *actually* free — not when
+        # Free the slot when the worker is *actually* idle — not when
         # the waiters are answered.  A timed-out simulation still
-        # occupies its thread/process; granting its token early would
-        # overcommit the fleet.
+        # occupies its thread/process; freeing its slot early would hand
+        # the next job to an executor with no idle worker, where it
+        # would wait while its own timeout runs.
         def _on_backend_done(_f) -> None:
             try:
-                loop.call_soon_threadsafe(self._slot_freed)
+                loop.call_soon_threadsafe(self._slot_freed, slot)
             except RuntimeError:  # loop already closed (hard stop)
                 pass
         cfut.add_done_callback(_on_backend_done)
@@ -589,12 +588,9 @@ class JobServer:
             job.payload = pickle.dumps(result, PICKLE_PROTOCOL)
             self._finish_job(job, DONE)
 
-    def _slot_freed(self) -> None:
-        """A backend slot finished: return its token via the pool."""
-        self.balancer.release()
-        self.balancer.rebalance()
-        self.balancer.check()
-        self.telemetry.set_tokens(self.balancer.pool, self.balancer.tokens)
+    def _slot_freed(self, slot: int) -> None:
+        """The backend future of the job on ``slot`` completed."""
+        heapq.heappush(self._free, slot)
         self._kick()
 
     def _finish_job(self, job: Job, state: str) -> None:
@@ -625,8 +621,8 @@ class ServerStopped(RuntimeError):
 class ServerThread:
     """Run a :class:`JobServer` on a background thread's event loop.
 
-    The bridge every synchronous caller uses (tests, the CLI smoke and
-    bench verbs): ``start()`` blocks until the socket is bound,
+    The bridge every synchronous caller uses (tests and the CLI smoke
+    verb): ``start()`` blocks until the socket is bound,
     :meth:`call` runs a coroutine on the server's loop, ``stop()``
     drains and joins.  Usable as a context manager.
     """

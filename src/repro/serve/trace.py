@@ -3,20 +3,18 @@
 The server reuses :mod:`repro.telemetry` wholesale — the same
 :class:`~repro.telemetry.events.EventBus` (JOB_* kinds, drop-counting
 rings), the same :class:`~repro.telemetry.metrics.MetricsRegistry`
-(queue-depth and token-pool gauges, job counters) and the same Chrome
-``trace_event`` JSON output — with two translations:
+(queue-depth gauge, job counters) and the same Chrome ``trace_event``
+JSON output — with two translations:
 
 * time: ``Event.cycle`` carries **microseconds since server start**
   instead of cycles;
 * space: ``Event.core`` carries the **worker slot** instead of the
   core (-1 = not yet dispatched / dispatcher-global).
 
-So :func:`build_serve_trace` renders worker tracks where the chip
-trace renders core tracks, a dispatcher track where the chip has its
-PTB-balancer track, and queue-depth/token-pool counters where the chip
-has power counters — open both in Perfetto and they read identically,
-which is the point: the service balances work with tokens exactly as
-the chip balances power with them.
+So :func:`build_serve_trace` renders one track per worker slot where
+the chip trace renders core tracks, a dispatcher track where the chip
+has its PTB-balancer track, and a queue-depth counter where the chip
+has power counters.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ class ServeTelemetry:
         self.slices: List[Tuple[int, str, int, int, str]] = []
         #: (us, depth) queue-depth samples at change points.
         self.queue_samples: List[Tuple[int, int]] = []
-        #: (us, pool, per-worker tokens) samples at change points.
-        self.token_samples: List[Tuple[int, int, Tuple[int, ...]]] = []
         self.samples_dropped = 0
 
     def now_us(self) -> int:
@@ -98,13 +94,6 @@ class ServeTelemetry:
     def set_queue_depth(self, depth: int) -> None:
         self.metrics.gauge("queue_depth").set(float(depth))
         self._append(self.queue_samples, (self.now_us(), depth))
-
-    def set_tokens(self, pool: int, tokens: List[int]) -> None:
-        self.metrics.gauge("token_pool").set(float(pool))
-        for i, t in enumerate(tokens):
-            self.metrics.gauge("worker_tokens", core=i).set(float(t))
-        self._append(self.token_samples,
-                     (self.now_us(), pool, tuple(tokens)))
 
 
 #: pid for every track of one server process.
@@ -161,15 +150,10 @@ def build_serve_trace(tel: ServeTelemetry) -> Dict:
                          "tid": dispatcher_tid, "ts": float(ev.cycle),
                          "s": "t", "args": args})
 
-    # Counter tracks: queue depth and token distribution over time.
+    # Counter track: queue depth over time.
     for us, depth in tel.queue_samples:
         body.append({"name": "queue depth", "ph": "C", "pid": _PID,
                      "ts": float(us), "args": {"jobs": depth}})
-    for us, pool, tokens in tel.token_samples:
-        args = {f"worker{i}": t for i, t in enumerate(tokens)}
-        args["pool"] = pool
-        body.append({"name": "capacity tokens", "ph": "C", "pid": _PID,
-                     "ts": float(us), "args": args})
 
     body.sort(key=lambda e: e["ts"])
     return {

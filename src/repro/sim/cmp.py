@@ -16,7 +16,7 @@ import numpy as np
 from ..budget import make_controller
 from ..config import CMPConfig
 from ..core.pipeline import Core
-from ..isa.kmeans import TokenClassMap, default_token_classes
+from ..isa.kmeans import default_token_classes
 from ..mem.hierarchy import MemoryHierarchy
 from ..noc.mesh import Mesh2D
 from ..power.model import CycleEvents, EnergyModel
@@ -44,9 +44,7 @@ class CMPSimulator:
         budget_fraction: Optional[float] = 0.5,
         ptb_policy: Optional[str] = None,
         seed: int = 2011,
-        token_map: Optional[TokenClassMap] = None,
         collect_traces: bool = False,
-        prewarm: bool = True,
     ) -> None:
         if program.num_threads != cfg.num_cores:
             raise ValueError(
@@ -63,7 +61,7 @@ class CMPSimulator:
         self.mesh = Mesh2D(cfg.num_cores, cfg.net)
         self.hierarchy = MemoryHierarchy(cfg, self.mesh)
         self.sync_domain = SyncDomain(cfg.num_cores, self.mesh)
-        tmap = token_map if token_map is not None else default_token_classes(
+        tmap = default_token_classes(
             cfg.power.token_classes, token_unit=self.energy.token_unit
         )
         self.cores: List[Core] = [
@@ -73,8 +71,7 @@ class CMPSimulator:
             )
             for i in range(cfg.num_cores)
         ]
-        if prewarm:
-            self._prewarm_caches()
+        self._prewarm_caches()
         peak = self.energy.global_peak_power(cfg.num_cores)
         self.global_budget: Watts = (
             peak * budget_fraction if budget_fraction is not None else peak
@@ -361,8 +358,6 @@ def run_simulation(
     seed: int = 2011,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     collect_traces: bool = False,
-    token_map: Optional[TokenClassMap] = None,
-    prewarm: bool = True,
     engine: Optional[str] = None,
 ) -> SimResult:
     """One-call convenience wrapper around :class:`CMPSimulator`.
@@ -374,6 +369,6 @@ def run_simulation(
         cfg = cfg.with_engine(engine)
     sim = CMPSimulator(
         cfg, program, technique, budget_fraction, ptb_policy, seed,
-        token_map, collect_traces, prewarm,
+        collect_traces,
     )
     return sim.run(max_cycles)

@@ -7,8 +7,8 @@ every figure.  This package provides two independent lines of defence:
 
 * **Static passes** — an ``ast``-based linter with simulator-specific
   rules (SIM001-SIM006; :mod:`repro.simcheck.lint`,
-  :mod:`repro.simcheck.rules`) plus two whole-program analyses
-  sharing one discovery/effect engine: tick-order hazards and units
+  :mod:`repro.simcheck.rules`) plus two whole-program analyses over
+  one package index: unit/dimension checking
   (:mod:`repro.simcheck.flow`) and cache-key soundness + worker
   purity (:mod:`repro.simcheck.purity`).  All three gate CI through
   one pass registry: ``python -m repro.simcheck all src/repro``.

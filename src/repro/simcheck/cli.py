@@ -5,8 +5,8 @@ Three static passes, one entry each in :data:`PASSES`:
 * ``lint PATH...``  — the SIM rules (local idioms such as set-order
   iteration and unseeded randomness), one ``file:line:col: RULE msg``
   line per finding.
-* ``flow PATH``     — whole-program flow analyses: same-cycle tick-order
-  hazards (FLOW rules) and unit/dimension propagation (UNIT rules).
+* ``flow PATH``     — whole-program unit/dimension propagation (UNIT
+  rules).
 * ``purity PATH``   — cache-key soundness (KEY rules) and worker-purity
   analysis (PURE rules) rooted at the experiment runner's cache.
 
@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .flow.baseline import apply_baseline, load_baseline, write_baseline
+from .flow.baseline import (
+    apply_baseline,
+    load_baseline,
+    read_baseline,
+    write_baseline,
+)
 from .lint import Finding, iter_rules, lint_paths
 
 
@@ -85,9 +90,7 @@ def _analyze_lint(args: argparse.Namespace) -> Analysis:
 def _analyze_flow(args: argparse.Namespace) -> Analysis:
     from .flow import analyze_package
 
-    findings, notes = analyze_package(
-        args.path, hazards=not args.no_hazards, units=not args.no_units
-    )
+    findings, notes = analyze_package(args.path)
     return Analysis(findings, notes=notes)
 
 
@@ -142,9 +145,7 @@ def _package_args(sub: argparse.ArgumentParser, notes: str) -> None:
 
 
 def _flow_args(sub: argparse.ArgumentParser) -> None:
-    _package_args(sub, "module count, driver, parse errors")
-    sub.add_argument("--no-hazards", action="store_true", help="skip the FLOW pass")
-    sub.add_argument("--no-units", action="store_true", help="skip the UNIT pass")
+    _package_args(sub, "module count, parse errors")
 
 
 def _purity_args(sub: argparse.ArgumentParser) -> None:
@@ -162,7 +163,7 @@ PASSES: Dict[str, Pass] = {
         Pass("lint", ".simcheck-lint-baseline.json",
              "run the SIM lint rules over paths", _analyze_lint, _lint_args),
         Pass("flow", ".simcheck-baseline.json",
-             "whole-program tick-order hazard + unit/dimension analysis",
+             "whole-program unit/dimension analysis (UNIT rules)",
              _analyze_flow, _flow_args),
         Pass("purity", ".simcheck-purity-baseline.json",
              "cache-key soundness (KEY rules) + worker purity (PURE rules)",
@@ -215,15 +216,15 @@ def _prune_baseline(
     if not baseline_path.exists():
         _say(tool, f"no baseline at {baseline_path}; nothing to prune")
         return 2
-    data = json.loads(baseline_path.read_text())
+    data = read_baseline(baseline_path)
     fired = {f.identity() for f in findings}
-    entries = data.get("findings", [])
-    kept = [e for e in entries if e.get("fingerprint") in fired]
-    pruned = [e for e in entries if e.get("fingerprint") not in fired]
+    entries = data["findings"]
+    kept = [e for e in entries if e["fingerprint"] in fired]
+    pruned = [e for e in entries if e["fingerprint"] not in fired]
     for entry in pruned:
         print(
             f"simcheck {tool}: pruned stale baseline entry "
-            f"{entry.get('fingerprint')} (was {entry.get('example', '?')})"
+            f"{entry['fingerprint']} (was {entry.get('example', '?')})"
         )
     if pruned:
         data["findings"] = kept

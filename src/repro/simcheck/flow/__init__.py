@@ -1,12 +1,10 @@
-"""Whole-program flow analyses for the cycle-stepped simulator.
+"""Whole-program unit/dimension analysis for the simulator.
 
-Two passes over one :class:`~repro.simcheck.flow.model.PackageIndex`:
-
-* :mod:`~repro.simcheck.flow.hazards` — same-cycle tick-ordering
-  hazards (FLOW001/FLOW002) from interprocedural may-read/may-write
-  effect summaries rooted at the driver's cycle loop.
-* :mod:`~repro.simcheck.flow.unitcheck` — unit/dimension propagation
-  over the :mod:`repro.units` vocabulary (UNIT001-UNIT005).
+:mod:`~repro.simcheck.flow.unitcheck` propagates the
+:mod:`repro.units` vocabulary (UNIT001-UNIT005) over one
+:class:`~repro.simcheck.flow.model.PackageIndex`.  The index and the
+effect machinery in :mod:`~repro.simcheck.flow.effects` are shared with
+the purity pass.
 
 Entry point: :func:`analyze_package`; CLI: ``python -m repro.simcheck
 flow``.
@@ -19,7 +17,6 @@ from typing import List, Tuple
 
 from ..lint import Finding
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .hazards import check_hazards
 from .model import PackageIndex
 from .unitcheck import check_units
 
@@ -33,22 +30,14 @@ __all__ = [
 ]
 
 
-def analyze_package(
-    root: Path, *, hazards: bool = True, units: bool = True
-) -> Tuple[List[Finding], List[str]]:
-    """Run the flow passes on one package root: (findings, notes)."""
+def analyze_package(root: Path) -> Tuple[List[Finding], List[str]]:
+    """Run the unit checker on one package root: (findings, notes)."""
     index = PackageIndex.build(root)
-    findings: List[Finding] = []
     notes: List[str] = [
         f"flow: indexed {len(index.modules)} modules under {root}"
     ]
     for rel, err in index.parse_errors:
         notes.append(f"flow: parse error in {rel}: {err}")
-    if hazards:
-        hazard_findings, hazard_notes = check_hazards(index)
-        findings.extend(hazard_findings)
-        notes.extend(hazard_notes)
-    if units:
-        findings.extend(check_units(index))
+    findings = check_units(index)
     findings.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
     return findings, notes

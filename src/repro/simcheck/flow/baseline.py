@@ -1,15 +1,18 @@
 """Baseline file support: CI fails only on *regressions*.
 
-``.simcheck-baseline.json`` records accepted findings by fingerprint —
-a line-number-independent identity (rule + state location + component
-labels for hazards; rule + file + function + message for unit
-findings) — together with a human justification for why each one is
-acceptable.  The flow gate then:
+A baseline (``--baseline FILE``; each pass has a default such as
+``.simcheck-purity-baseline.json``) records accepted findings by
+fingerprint — a line-number-independent identity such as rule + file +
+function + message — together with a human justification for why each
+one is acceptable.  Every simcheck gate then:
 
 * suppresses findings whose fingerprint is baselined,
 * fails on any finding that is not,
 * warns (but passes) on stale entries that no longer fire, so the
-  baseline shrinks as hazards are fixed.
+  baseline shrinks as findings are fixed.
+
+A missing file is an empty baseline; a malformed one raises
+:class:`ValueError` naming the file and the bad entry.
 """
 
 from __future__ import annotations
@@ -24,22 +27,39 @@ BASELINE_VERSION = 1
 DEFAULT_JUSTIFICATION = "TODO: justify or fix"
 
 
-def load_baseline(path: Path) -> Dict[str, str]:
-    """fingerprint -> justification.  Missing file = empty baseline."""
-    if not path.exists():
-        return {}
+def read_baseline(path: Path) -> Dict:
+    """The parsed baseline document, with every entry checked."""
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or data.get("version") != BASELINE_VERSION:
         raise ValueError(
             f"{path}: unsupported baseline format "
             f"(expected version {BASELINE_VERSION})"
         )
-    out: Dict[str, str] = {}
-    for entry in data.get("findings", []):
-        out[entry["fingerprint"]] = entry.get(
-            "justification", DEFAULT_JUSTIFICATION
+    entries = data.setdefault("findings", [])
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"{path}: 'findings' must be a list, "
+            f"got {type(entries).__name__}"
         )
-    return out
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(
+            entry.get("fingerprint"), str
+        ):
+            raise ValueError(
+                f"{path}: findings[{i}] must be an object with a string "
+                f"'fingerprint', got {entry!r}"
+            )
+    return data
+
+
+def load_baseline(path: Path) -> Dict[str, str]:
+    """fingerprint -> justification.  Missing file = empty baseline."""
+    if not path.exists():
+        return {}
+    return {
+        entry["fingerprint"]: entry.get("justification", DEFAULT_JUSTIFICATION)
+        for entry in read_baseline(path)["findings"]
+    }
 
 
 def apply_baseline(

@@ -1,23 +1,23 @@
 """Instance graph + may-read/may-write effect summaries.
 
-The hazard analysis needs to know, for every component method invoked
-from the per-cycle loop, which pieces of *shared simulator state* it
-may read and may write.  Two layers provide that:
+The purity pass (:mod:`repro.simcheck.purity.workers`) needs to know
+which functions and methods a cache worker can reach, and which state
+they may read and write.  Two layers provide that:
 
-* :func:`build_instance_graph` abstractly interprets the constructor
-  chain rooted at the simulator class: every ``self.x = ClassName(...)``
-  creates an instance node, every ``self.x = param`` aliases the node
-  the caller passed in — so the graph knows that ``Core.hierarchy`` *is*
-  the simulator's shared ``MemoryHierarchy`` while ``Core.events`` is
-  per-core.  Per-core containers (``self.cores = [Core(...) ...]``)
-  become a single *replicated* node (``sim.cores[*]``).
+* :class:`_GraphBuilder` abstractly interprets a class's constructor
+  chain: every ``self.x = ClassName(...)`` creates an instance node,
+  every ``self.x = param`` aliases the node the caller passed in — so
+  the graph knows that ``Core.hierarchy`` *is* the simulator's shared
+  ``MemoryHierarchy`` while ``Core.events`` is per-core.  Per-core
+  containers (``self.cores = [Core(...) ...]``) become a single node
+  keyed ``sim.cores[*]``.
 
 * :class:`EffectAnalyzer` walks method bodies interprocedurally
   (bounded depth, memoized) and records accesses as
   :class:`EffectAccess` locations — ``(instance node, attribute)``
   pairs like ``sim.controller.execute``.  Local variables are tracked
   as aliases of instances/locations; calls on component instances
-  recurse into the callee with arguments bound, so a list the driver
+  recurse into the callee with arguments bound, so a list the caller
   hands to ``end_cycle`` keeps its identity.
 
 Everything is a *may* analysis: unresolvable receivers and deeper
@@ -53,23 +53,12 @@ MAX_CALL_DEPTH = 14
 class Instance:
     """One abstract component instance (node in the instance graph)."""
 
-    __slots__ = ("key", "classes", "attrs", "replicated")
+    __slots__ = ("key", "classes", "attrs")
 
-    def __init__(
-        self, key: str, classes: List[ClassInfo], replicated: bool = False
-    ) -> None:
+    def __init__(self, key: str, classes: List[ClassInfo]) -> None:
         self.key = key
         self.classes = classes
         self.attrs: Dict[str, "Instance"] = {}
-        self.replicated = replicated
-
-    @property
-    def display_class(self) -> str:
-        """Most-base class name (stable label for factory-built unions)."""
-        if len(self.classes) == 1:
-            return self.classes[0].name
-        # The common ancestor has the shortest base chain.
-        return min(self.classes, key=lambda c: len(c.bases)).name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Instance {self.key} [{', '.join(c.name for c in self.classes)}]>"
@@ -139,11 +128,6 @@ class EffectSet:
 class _GraphBuilder:
     def __init__(self, index: PackageIndex) -> None:
         self.index = index
-
-    def build(self, root_class: ClassInfo, root_key: str = "sim") -> Instance:
-        root = Instance(root_key, [root_class])
-        self._populate(root, [(root_class, {})], depth=0)
-        return root
 
     def _populate(
         self,
@@ -262,9 +246,7 @@ class _GraphBuilder:
             if resolved is not None:  # (specs, replicated)
                 specs, replicated = resolved
                 key = child_key + ("[*]" if replicated else "")
-                child = Instance(
-                    key, [s[0] for s in specs], replicated=replicated
-                )
+                child = Instance(key, [s[0] for s in specs])
                 instance.attrs[attr] = child
                 self._populate(child, specs, depth + 1)
                 return
@@ -277,9 +259,7 @@ class _GraphBuilder:
 
                 replicated = is_annotated_replicated(annotation)
                 key = child_key + ("[*]" if replicated else "")
-                child = Instance(
-                    key, [self.index.classes[heads[0]]], replicated=replicated
-                )
+                child = Instance(key, [self.index.classes[heads[0]]])
                 instance.attrs[attr] = child
                 self._populate(child, [(self.index.classes[heads[0]], {})],
                                depth + 1)
@@ -400,7 +380,7 @@ class _GraphBuilder:
                     key = f"{child_key}.~{slot}" if child_key else f"~{slot}"
                     child = Instance(
                         key + ("[*]" if replicated else ""),
-                        [s[0] for s in specs], replicated=replicated,
+                        [s[0] for s in specs],
                     )
                     self._populate(child, specs, depth + 1)
                     return child
@@ -421,12 +401,6 @@ class _GraphBuilder:
         return bindings
 
 
-def build_instance_graph(
-    index: PackageIndex, root_class: ClassInfo, root_key: str = "sim"
-) -> Instance:
-    return _GraphBuilder(index).build(root_class, root_key)
-
-
 # --------------------------------------------------------------------------- #
 # Effect sinks                                                                #
 # --------------------------------------------------------------------------- #
@@ -436,8 +410,8 @@ class EffectSink:
     """Receives accesses; ``call`` may intercept component calls.
 
     The default implementation merges callee summaries (computed by the
-    analyzer) into an :class:`EffectSet`.  The tick extractor supplies
-    its own sink that turns everything into an ordered event stream.
+    analyzer) into an :class:`EffectSet`.  The purity pass supplies its
+    own sink that records call edges for its reachability walk.
     """
 
     def __init__(self, analyzer: "EffectAnalyzer", effects: EffectSet) -> None:
@@ -592,7 +566,6 @@ class BodyWalker:
     def bind_loop_target(self, target: ast.expr, iter_expr: ast.expr) -> None:
         val = self._peek(iter_expr)
         if isinstance(val, Instance):
-            self.on_replicated_element(val)
             if isinstance(target, ast.Name):
                 self.env[target.id] = val
             return
@@ -601,7 +574,6 @@ class BodyWalker:
             if iter_expr.func.id == "enumerate" and iter_expr.args:
                 inner = self._peek(iter_expr.args[0])
                 if isinstance(inner, Instance) and isinstance(target, ast.Tuple):
-                    self.on_replicated_element(inner)
                     elts = target.elts
                     if len(elts) == 2 and isinstance(elts[1], ast.Name):
                         self.env[elts[1].id] = inner
@@ -682,7 +654,6 @@ class BodyWalker:
             base = self.eval(expr.value)
             self.eval(expr.slice)
             if isinstance(base, Instance):
-                self.on_replicated_element(base)
                 return base
             if isinstance(base, Loc):
                 self._read(base, expr)
@@ -778,9 +749,6 @@ class BodyWalker:
         return self.analyzer.member_instance(
             instance, self.index.classes[heads[0]], f"<{heads[0]}>"
         )
-
-    def on_replicated_element(self, instance: Instance) -> None:
-        """Hook for the tick extractor (group-iteration tracking)."""
 
     # -- calls --------------------------------------------------------------
 
@@ -927,12 +895,12 @@ class EffectAnalyzer:
         """Abstract member object (e.g. a lock returned by a lookup).
 
         All members of one class under one owner collapse to a single
-        shared node — their state is owner state for hazard purposes.
+        shared node — their state counts as owner state.
         """
         key = (owner.key, cls.name)
         member = self._members.get(key)
         if member is None:
-            member = Instance(f"{owner.key}.{label}", [cls], replicated=False)
+            member = Instance(f"{owner.key}.{label}", [cls])
             self._members[key] = member
             _GraphBuilder(self.index)._populate(member, [(cls, {})], depth=6)
         return member

@@ -1,7 +1,7 @@
 """``repro.simcheck.purity`` — cache-key soundness + worker purity.
 
 The third simcheck pass.  ``lint`` checks local idioms, ``flow``
-checks tick-order soundness — and ``purity`` proves the result cache
+checks unit arithmetic — and ``purity`` proves the result cache
 can be trusted: the simulation service (:mod:`repro.serve`) coalesces
 tenants on the disk-cache key, so a key that silently misses an input
 turns into cross-tenant result corruption, not just a stale file.

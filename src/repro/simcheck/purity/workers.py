@@ -7,14 +7,14 @@ code that writes module-global state or reads ambient process state
 depend on *which worker* ran them and *when*, none of which is in the
 cache key.
 
-The reachability walk re-drives the flow pass's effect machinery from
-the cache module's worker entry points (``_worker``/``_simulate``)
-instead of the driver loop, with two differences:
+The reachability walk drives the effect machinery of
+:mod:`repro.simcheck.flow.effects` from the cache module's worker entry
+points (``_worker``/``_simulate``):
 
 * **Constructor interception** — the stock
   :class:`~repro.simcheck.flow.effects.BodyWalker` does not follow bare
-  ``ClassName(...)`` calls (the flow pass always enters through a
-  pre-built instance graph).  Workers, however, *start* by constructing
+  ``ClassName(...)`` calls (it walks bodies of instances that already
+  exist).  Workers, however, *start* by constructing
   the simulator, so :class:`_PurityWalker` resolves index-class
   constructors to a populated abstract instance and dispatches
   ``__init__`` through the effect sink, which pulls the whole component

@@ -1,13 +1,9 @@
 """Tests for the report-generation CLI."""
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.cli import RENDERERS, _emit_bench, load_bench, main
-
-REPO = Path(__file__).resolve().parents[1]
+from repro.analysis import cli as cli_mod
+from repro.analysis.cli import RENDERERS, main
 
 
 class TestCLI:
@@ -52,8 +48,8 @@ class TestCLI:
 
 
 class TestParallelCLI:
-    """--jobs N and --jobs 1 produce byte-identical reports, and each
-    cold render appends a wall-clock entry to BENCH_runner.json."""
+    """--jobs N and --jobs 1 produce byte-identical reports from a cold
+    cache, and the runner's stats show one simulation per recipe."""
 
     @pytest.fixture(autouse=True)
     def small_world(self, tmp_path, monkeypatch):
@@ -64,13 +60,23 @@ class TestParallelCLI:
                             lambda: ["swaptions", "blackscholes"])
         monkeypatch.setattr(ex, "CORE_COUNTS", (2,))
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)
+        # Keep every runner the CLI builds, to read its stats.
+        self.runners = []
+        runners = self.runners
+
+        class Recording(cli_mod.ExperimentRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(cli_mod, "ExperimentRunner", Recording)
         self.tmp = tmp_path
 
     def _render(self, jobs, tag):
         out = self.tmp / f"out_{tag}"
-        bench = self.tmp / "BENCH_runner.json"
         rc = main(["fig3", "--scale", "tiny", "--jobs", str(jobs),
-                   "--out", str(out), "--bench-out", str(bench)])
+                   "--out", str(out)])
         assert rc == 0
         return (out / "fig3.txt").read_bytes()
 
@@ -80,50 +86,12 @@ class TestParallelCLI:
         monkeypatch.setenv("REPRO_CACHE", str(self.tmp / "cache1"))
         b = self._render(1, "j1")
         assert a == b  # byte-identical across worker counts
-        data = json.loads((self.tmp / "BENCH_runner.json").read_text())
-        jobs = [e["jobs"] for e in data["entries"]]
-        assert jobs == [2, 1]
-        for e in data["entries"]:
-            assert e["wall_seconds"] > 0
+        assert [r.jobs for r in self.runners] == [2, 1]
+        for r in self.runners:
             # Cold render: everything simulated once, then the figure
             # function's own plan pass re-finds it all warm in memory.
-            assert e["simulated"] > 0
-            assert e["planned"] >= e["simulated"]
-            assert e["mem_hits"] >= e["simulated"]
-
-
-class TestBenchLoader:
-    """load_bench normalises every entry to one shape and round-trips."""
-
-    def test_repo_file_has_uniform_shape(self):
-        entries = load_bench(REPO / "BENCH_runner.json")
-        assert entries, "repo BENCH_runner.json should have entries"
-        for e in entries:
-            assert "schema_version" in e
-            assert "git_sha" in e  # null for legacy v1 entries
-
-    def test_round_trip_preserves_entries(self, tmp_path):
-        src = REPO / "BENCH_runner.json"
-        copy = tmp_path / "BENCH_runner.json"
-        copy.write_text(src.read_text())
-        before = load_bench(copy)
-        _emit_bench(copy, {"schema_version": 2, "git_sha": "deadbee",
-                           "jobs": 1, "wall_seconds": 0.1})
-        after = load_bench(copy)
-        assert after[:-1] == before
-        assert after[-1]["git_sha"] == "deadbee"
-
-    def test_legacy_entry_stamped_on_load(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(
-            {"entries": [{"jobs": 4, "wall_seconds": 1.0}]}
-        ))
-        (entry,) = load_bench(path)
-        assert entry["schema_version"] == 1
-        assert entry["git_sha"] is None
-
-    def test_corrupt_file_loads_empty(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        assert load_bench(path) == []
-        assert load_bench(tmp_path / "missing.json") == []
+            assert r.stats["simulated"] > 0
+            assert r.stats["planned"] >= r.stats["simulated"]
+            assert r.stats["mem_hits"] >= r.stats["simulated"]
+        # A cold render leaves no timing file behind.
+        assert not list(self.tmp.glob("BENCH_*.json"))

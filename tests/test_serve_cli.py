@@ -2,8 +2,7 @@
 
 The smoke verb doubles as the CI gate, so its exit-code contract is
 load-bearing: 0 only when coalescing, cache and byte-identity checks
-all hold.  The bench verb must leave a provenance-stamped entry in the
-same shape family as ``BENCH_runner.json``.
+all hold.
 """
 
 import json
@@ -58,27 +57,3 @@ class TestSmoke:
         assert trace.is_file()
         from repro.telemetry.export import validate_chrome_trace
         validate_chrome_trace(json.loads(trace.read_text()))
-
-
-class TestBench:
-    def test_bench_emits_provenance_stamped_entry(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_serve.json"
-        rc = main(["bench", "--clients", "2", "--recipes", "2",
-                   "--bench-out", str(out_path)])
-        assert rc == 0
-        doc = json.loads(out_path.read_text())
-        (entry,) = doc["entries"]
-        assert entry["kind"] == "serve"
-        assert entry["schema_version"] >= 2
-        assert isinstance(entry["git_sha"], str)
-        assert entry["clients"] == 2 and entry["recipes_per_client"] == 2
-        # 2 clients x 2 recipes = 4 cold submissions, 2 distinct jobs:
-        # the rest were coalesced or cache-served, never re-simulated.
-        assert entry["simulated_jobs"] == 2
-        assert entry["coalesced_jobs"] + entry["cache_hits"] >= 2
-        assert entry["cold"]["wall_seconds"] > 0
-        assert entry["warm"]["wall_seconds"] >= 0
-        # Readable by the shared loader (same normalisation family).
-        from repro.analysis.cli import load_bench
-        records = load_bench(out_path)
-        assert records and records[0]["git_sha"] == entry["git_sha"]

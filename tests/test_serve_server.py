@@ -195,6 +195,8 @@ class TestDisconnect:
 class TestTimeoutAndCancel:
     def test_job_timeout_answers_waiter_and_returns_token(
             self, tmp_path, monkeypatch):
+        """The waiter hears the timeout at once; the slot returns to the
+        free list only when the backend future completes."""
         import repro.analysis.runner as runner_mod
 
         release = threading.Event()
@@ -211,12 +213,22 @@ class TestTimeoutAndCancel:
                     (res,) = reply.results
                 assert res.status == "timeout"
                 assert "timed out after 0.2s" in res.error
-                # The slot is still occupied: the token must NOT be back.
-                assert st.status()["balancer"]["in_use"] == 1
-                release.set()
+                # The worker still runs the simulation: the slot must
+                # NOT be free yet, so nothing else can be dispatched.
+                assert st.status()["busy_slots"] == [0]
+                with ServeClient.connect(st.address) as cli:
+                    cli.submit_nowait([OTHER])
+                    wait_until(
+                        lambda: st.status()["queue_depth"] == 1,
+                        what="second job to queue behind the busy slot")
+                    assert st.status()["running"] == 0
+                    release.set()
+                    wait_until(
+                        lambda: st.status()["stats"]["jobs_error"] == 1,
+                        what="second job to run once the slot frees")
                 wait_until(
-                    lambda: st.status()["balancer"]["in_use"] == 0,
-                    what="token to return when the slot actually frees")
+                    lambda: st.status()["busy_slots"] == [],
+                    what="slot to free when its backend future completes")
                 assert st.status()["stats"]["jobs_timeout"] == 1
         finally:
             release.set()
@@ -250,6 +262,69 @@ class TestTimeoutAndCancel:
                 reply = cli.cancel("job-999")
         assert reply["reply"] == "cancel-ok"
         assert reply["state"] == "unknown"
+
+
+class TestSlots:
+    def test_next_job_takes_the_slot_that_finished(
+            self, tmp_path, monkeypatch):
+        """A runs on slot 0 and B on slot 1; B finishes first, so C must
+        run on slot 1 — never on slot 0 beside the still-running A."""
+        import repro.analysis.runner as runner_mod
+
+        real = runner_mod._simulate
+        a, b, c = Recipe("ocean", 2), RECIPE, Recipe("barnes", 2)
+        started = {r.benchmark: threading.Event() for r in (a, b, c)}
+        release = {r.benchmark: threading.Event() for r in (a, b, c)}
+
+        def gated(recipe, *args):
+            started[recipe.benchmark].set()
+            release[recipe.benchmark].wait(timeout=30)
+            return real(recipe, *args)
+
+        monkeypatch.setattr(runner_mod, "_simulate", gated)
+        trace_path = tmp_path / "serve_trace.json"
+        config = make_config(tmp_path, trace_path=str(trace_path))
+        try:
+            with ServerThread(config) as st, \
+                    ServeClient.connect(st.address) as cli:
+                for recipe in (a, b):
+                    cli.submit_nowait([recipe])
+                    assert started[recipe.benchmark].wait(timeout=30)
+                release[b.benchmark].set()
+                wait_until(lambda: st.status()["stats"]["jobs_done"] == 1,
+                           what="B to finish")
+                busy = [st.status().get("busy_slots")]
+                cli.submit_nowait([c])
+                assert started[c.benchmark].wait(timeout=30)
+                busy.append(st.status().get("busy_slots"))
+                release[a.benchmark].set()
+                release[c.benchmark].set()
+                wait_until(lambda: st.status()["stats"]["jobs_done"] == 3,
+                           what="A and C to finish")
+        finally:
+            for ev in release.values():
+                ev.set()
+
+        trace = json.loads(trace_path.read_text())
+        slot_name = {e["tid"]: e["args"]["name"] for e in trace["traceEvents"]
+                     if e["name"] == "thread_name"}
+        tracks = {}
+        for ev in trace["traceEvents"]:
+            if ev["ph"] == "B":
+                tracks.setdefault(slot_name[ev["tid"]], []).append(
+                    [ev["name"], ev["ts"], None])
+            elif ev["ph"] == "E":
+                open_slice = next(sl for sl in tracks[slot_name[ev["tid"]]]
+                                  if sl[2] is None)
+                open_slice[2] = ev["ts"]
+        labels = {slot: [sl[0].split(" ")[0] for sl in slices]
+                  for slot, slices in tracks.items()}
+        assert labels == {"worker 0": ["ocean"],
+                          "worker 1": ["swaptions", "barnes"]}
+        for slices in tracks.values():
+            for (_, _, end), (_, start, _) in zip(slices, slices[1:]):
+                assert start >= end, tracks
+        assert busy == [[0], [0, 1]]
 
 
 class TestBackpressure:
@@ -328,7 +403,7 @@ class TestValidationAndOps:
         assert doc["protocol"] == 1
         assert doc["backend"] == "thread"
         assert doc["queue_depth"] == 0 and doc["live_jobs"] == 0
-        assert len(doc["balancer"]["workers"]) == 2
+        assert doc["slots"] == 2 and doc["busy_slots"] == []
         assert json.dumps(doc)  # JSON-clean throughout
 
     def test_submit_nowait_acks_and_runs(self, tmp_path, sim_calls):
@@ -394,8 +469,7 @@ class TestShutdown:
         trace = json.loads(trace_path.read_text())
         validate_chrome_trace(trace)
         names = {e["name"] for e in trace["traceEvents"]}
-        assert {"job.submit", "job.done", "queue depth",
-                "capacity tokens"} <= names
+        assert {"job.submit", "job.done", "queue depth"} <= names
         threads = {e["args"]["name"] for e in trace["traceEvents"]
                    if e["name"] == "thread_name"}
         assert {"worker 0", "worker 1", "dispatcher"} <= threads

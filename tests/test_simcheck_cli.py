@@ -1,11 +1,21 @@
-"""The simcheck front end: SARIF document shape, baseline pruning and
-the ``all`` gate over the pass registry."""
+"""The simcheck front end: SARIF document shape, baseline pruning,
+malformed baselines and the ``all`` gate over the pass registry."""
 
 from __future__ import annotations
 
 import json
 
-from .test_simcheck_flow import HAZARD_SIM, SRC_REPRO, run_cli, write_pkg
+import pytest
+
+from repro.simcheck.cli import main
+
+from .test_simcheck_flow import (
+    MIX_FINGERPRINT,
+    SRC_REPRO,
+    UNIT_MIX,
+    run_cli,
+    write_pkg,
+)
 
 
 class TestSarif:
@@ -35,7 +45,7 @@ class TestSarif:
 
 class TestPruneBaseline:
     def test_prunes_stale_keeps_live(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
+        pkg = write_pkg(tmp_path, UNIT_MIX)
         bl = tmp_path / "bl.json"
         wrote = run_cli(
             "flow", str(pkg), "--baseline", str(bl), "--write-baseline"
@@ -43,10 +53,10 @@ class TestPruneBaseline:
         assert wrote.returncode == 0, wrote.stderr
         data = json.loads(bl.read_text())
         live = [e["fingerprint"] for e in data["findings"]]
-        assert live
+        assert live == [MIX_FINGERPRINT]
         data["findings"].append({
-            "fingerprint": "FLOW001|gone.py|no.such.finding",
-            "rule": "FLOW001",
+            "fingerprint": "UNIT001|gone.py|nothing|adds Joules to Tokens",
+            "rule": "UNIT001",
             "example": "gone.py:1",
             "justification": "stale entry that must be pruned",
         })
@@ -56,9 +66,32 @@ class TestPruneBaseline:
             "flow", str(pkg), "--baseline", str(bl), "--prune-baseline"
         )
         assert pruned.returncode == 0, pruned.stdout + pruned.stderr
+        assert "gone.py" in pruned.stdout
         after = json.loads(bl.read_text())
         kept = [e["fingerprint"] for e in after["findings"]]
         assert kept == live
+
+
+class TestMalformedBaseline:
+    """A broken baseline is a usage error (exit 2) naming the file and
+    the entry, never a traceback — on every pass."""
+
+    @pytest.mark.parametrize("findings, needle", [
+        ([{"rule": "UNIT001", "justification": "no fingerprint"}],
+         "findings[0]"),
+        ([{"fingerprint": "UNIT001|a.py|f|x", "justification": "ok"},
+          "not an object"], "findings[1]"),
+        ({"fingerprint": "UNIT001|a.py|f|x"}, "'findings' must be a list"),
+    ], ids=["no-fingerprint", "non-object", "findings-not-list"])
+    @pytest.mark.parametrize("tool", ["lint", "flow", "purity"])
+    def test_exits_2_naming_file_and_entry(
+            self, tmp_path, capsys, tool, findings, needle):
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        bl = tmp_path / "broken-baseline.json"
+        bl.write_text(json.dumps({"version": 1, "findings": findings}))
+        assert main([tool, str(pkg), "--baseline", str(bl)]) == 2
+        err = capsys.readouterr().err
+        assert str(bl) in err and needle in err, err
 
 
 class TestCLI:

@@ -1,5 +1,5 @@
-"""simcheck flow analyses: tick-order hazards, unit propagation,
-baseline round-trip, and the CLI gate over the real tree."""
+"""simcheck flow: unit propagation, baseline round-trip, and the CLI
+gate over the real tree."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.simcheck.flow import (
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 SRC_REPRO = SRC / "repro"
-BASELINE = REPO / ".simcheck-baseline.json"
 
 
 def write_pkg(root: Path, files: dict) -> Path:
@@ -49,73 +48,6 @@ def run_cli(*argv, cwd=REPO):
 # fixtures                                                                    #
 # --------------------------------------------------------------------------- #
 
-# A minimal cycle-stepped simulator with a deliberate ordering hazard:
-# the driver reads ``power.throttle`` at the top of the cycle loop, and
-# the later-ticked ``PowerModel.end_cycle`` writes it in the same cycle
-# — the read-before-later-write shape of FLOW001.
-HAZARD_SIM = {
-    "sim/cmp.py": (
-        "from ..core import Core\n"
-        "from ..power import PowerModel\n"
-        "class Simulator:\n"
-        "    def __init__(self, n: int):\n"
-        "        self.cores = [Core() for _ in range(n)]\n"
-        "        self.power = PowerModel(self.cores)\n"
-        "        self.cycle = 0\n"
-        "    def run(self, max_cycles: int):\n"
-        "        self.cycle = 0\n"
-        "        while self.cycle < max_cycles:\n"
-        "            throttle = self.power.throttle\n"
-        "            for core in self.cores:\n"
-        "                core.step(throttle)\n"
-        "            self.power.end_cycle()\n"
-        "            self.cycle += 1\n"
-    ),
-    "core.py": (
-        "class Core:\n"
-        "    def __init__(self):\n"
-        "        self.retired = 0\n"
-        "    def step(self, throttle: bool):\n"
-        "        if not throttle:\n"
-        "            self.retired += 1\n"
-    ),
-    "power.py": (
-        "class PowerModel:\n"
-        "    def __init__(self, cores):\n"
-        "        self.cores = cores\n"
-        "        self.energy = 0.0\n"
-        "        self.throttle = False\n"
-        "    def end_cycle(self):\n"
-        "        self.energy += 1.0\n"
-        "        self.throttle = self.energy > 100.0\n"
-    ),
-}
-
-# Same components, but the power model ticks *first*, so the driver's
-# throttle read sees this cycle's value: write-then-read is the intended
-# producer/consumer dataflow and must not be reported.
-CLEAN_SIM = {
-    "sim/cmp.py": (
-        "from ..core import Core\n"
-        "from ..power import PowerModel\n"
-        "class Simulator:\n"
-        "    def __init__(self, n: int):\n"
-        "        self.cores = [Core() for _ in range(n)]\n"
-        "        self.power = PowerModel(self.cores)\n"
-        "        self.cycle = 0\n"
-        "    def run(self, max_cycles: int):\n"
-        "        self.cycle = 0\n"
-        "        while self.cycle < max_cycles:\n"
-        "            self.power.end_cycle()\n"
-        "            throttle = self.power.throttle\n"
-        "            for core in self.cores:\n"
-        "                core.step(throttle)\n"
-        "            self.cycle += 1\n"
-    ),
-    "core.py": HAZARD_SIM["core.py"],
-    "power.py": HAZARD_SIM["power.py"],
-}
-
 UNIT_MIX = {
     "units.py": (
         "Tokens = float\n"
@@ -131,6 +63,9 @@ UNIT_MIX = {
     ),
 }
 
+#: The one finding UNIT_MIX yields.
+MIX_FINGERPRINT = "UNIT001|acct.py|charge|adds Joules to Tokens"
+
 UNIT_CLEAN = {
     "units.py": UNIT_MIX["units.py"],
     "acct.py": (
@@ -144,50 +79,6 @@ UNIT_CLEAN = {
 
 
 # --------------------------------------------------------------------------- #
-# hazard detection                                                            #
-# --------------------------------------------------------------------------- #
-
-
-class TestHazards:
-    def test_seeded_hazard_detected(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        findings, notes = analyze_package(pkg, units=False)
-        flow = [f for f in findings if f.rule_id.startswith("FLOW")]
-        assert flow, notes
-        hazard = [f for f in flow if "throttle" in f.message]
-        assert hazard, [f.render() for f in flow]
-        f = hazard[0]
-        assert f.rule_id == "FLOW001"
-        assert "Simulator.run" in f.message
-        assert "PowerModel.end_cycle" in f.message
-        # Reported at the read site, pointing at the write site.
-        assert f.path.endswith("cmp.py")
-        assert "power.py" in f.message
-        assert f.line > 0
-
-    def test_clean_sim_has_no_hazards(self, tmp_path):
-        pkg = write_pkg(tmp_path, CLEAN_SIM)
-        findings, notes = analyze_package(pkg, units=False)
-        assert findings == [], [f.render() for f in findings]
-        assert any("driver" in n for n in notes), notes
-
-    def test_fingerprint_is_line_independent(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        fp1 = {f.identity() for f in analyze_package(pkg, units=False)[0]}
-        # Shift every line in power.py down; identity must not change.
-        mod = pkg / "power.py"
-        mod.write_text("# moved\n# moved\n" + mod.read_text())
-        fp2 = {f.identity() for f in analyze_package(pkg, units=False)[0]}
-        assert fp1 == fp2
-
-    def test_no_driver_is_reported_not_crash(self, tmp_path):
-        pkg = write_pkg(tmp_path, {"util.py": "def helper():\n    return 1\n"})
-        findings, notes = analyze_package(pkg, units=False)
-        assert findings == []
-        assert any("driver" in n.lower() for n in notes), notes
-
-
-# --------------------------------------------------------------------------- #
 # unit propagation                                                            #
 # --------------------------------------------------------------------------- #
 
@@ -195,15 +86,25 @@ class TestHazards:
 class TestUnits:
     def test_seeded_mix_detected(self, tmp_path):
         pkg = write_pkg(tmp_path, UNIT_MIX)
-        findings, _ = analyze_package(pkg, hazards=False)
+        findings, _ = analyze_package(pkg)
         unit = [f for f in findings if f.rule_id == "UNIT001"]
         assert unit, [f.render() for f in findings]
         assert "Joules" in unit[0].message and "Tokens" in unit[0].message
         assert unit[0].path.endswith("acct.py")
 
+    def test_fingerprint_is_line_independent(self, tmp_path):
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        (before,) = analyze_package(pkg)[0]
+        # Shift every line in acct.py down; identity must not change.
+        mod = pkg / "acct.py"
+        mod.write_text("# moved\n# moved\n" + mod.read_text())
+        (after,) = analyze_package(pkg)[0]
+        assert after.line == before.line + 2
+        assert after.identity() == before.identity() == MIX_FINGERPRINT
+
     def test_explicit_exchange_is_clean(self, tmp_path):
         pkg = write_pkg(tmp_path, UNIT_CLEAN)
-        findings, _ = analyze_package(pkg, hazards=False)
+        findings, _ = analyze_package(pkg)
         assert findings == [], [f.render() for f in findings]
 
     def test_inline_disable_suppresses(self, tmp_path):
@@ -213,7 +114,7 @@ class TestUnits:
             "return tokens + energy  # simcheck: disable=UNIT001 - test",
         )
         pkg = write_pkg(tmp_path, files)
-        findings, _ = analyze_package(pkg, hazards=False)
+        findings, _ = analyze_package(pkg)
         assert findings == [], [f.render() for f in findings]
 
     def test_return_annotation_mismatch(self, tmp_path):
@@ -226,7 +127,7 @@ class TestUnits:
             "    return base\n"
         )
         pkg = write_pkg(tmp_path, files)
-        findings, _ = analyze_package(pkg, hazards=False)
+        findings, _ = analyze_package(pkg)
         # Mult launders the unit (a declared exchange); the bare return
         # of Joules from a Watts-annotated function does not.
         assert [f.rule_id for f in findings] == ["UNIT004"]
@@ -240,65 +141,64 @@ class TestUnits:
 
 class TestBaseline:
     def test_write_then_suppress_round_trip(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        findings, _ = analyze_package(pkg, units=False)
-        assert findings
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        findings, _ = analyze_package(pkg)
+        assert [f.identity() for f in findings] == [MIX_FINGERPRINT]
         path = tmp_path / "baseline.json"
         count = write_baseline(path, findings, {})
-        assert count == len({f.identity() for f in findings})
+        assert count == 1
 
         baseline = load_baseline(path)
         new, suppressed, stale = apply_baseline(findings, baseline)
         assert new == [] and stale == []
-        assert len(suppressed) == len(findings)
+        assert suppressed == findings
 
     def test_new_violation_still_fails(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        findings, _ = analyze_package(pkg, units=False)
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        findings, _ = analyze_package(pkg)
         path = tmp_path / "baseline.json"
         write_baseline(path, findings, {})
-        # Introduce a *new* hazard: the driver now also peeks at the
-        # accumulated energy before end_cycle updates it.
-        mod = pkg / "sim" / "cmp.py"
+        # Introduce a *new* mix: raw cycles subtracted from tokens.
+        mod = pkg / "acct.py"
         mod.write_text(
-            mod.read_text().replace(
-                "throttle = self.power.throttle\n",
-                "throttle = self.power.throttle\n"
-                "            _peek = self.power.energy\n",
-            )
+            mod.read_text().replace("import Joules", "import Cycles, Joules")
+            + "def refund(tokens: Tokens, cycles: Cycles) -> Tokens:\n"
+              "    return tokens - cycles\n"
         )
-        findings2, _ = analyze_package(pkg, units=False)
-        new, _, stale = apply_baseline(findings2, load_baseline(path))
-        assert any("energy" in f.message for f in new), (
-            [f.render() for f in new]
-        )
+        findings2, _ = analyze_package(pkg)
+        new, suppressed, stale = apply_baseline(findings2, load_baseline(path))
+        assert [f.identity() for f in new] == [
+            "UNIT001|acct.py|refund|subtracts Cycles to Tokens"
+        ]
+        assert [f.identity() for f in suppressed] == [MIX_FINGERPRINT]
         assert stale == []
 
     def test_stale_entries_reported(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        findings, _ = analyze_package(pkg, units=False)
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        findings, _ = analyze_package(pkg)
         path = tmp_path / "baseline.json"
         write_baseline(path, findings, {})
-        # Fix the hazard (tick the power model first); baselined
-        # fingerprints become stale.
-        (pkg / "sim" / "cmp.py").write_text(CLEAN_SIM["sim/cmp.py"])
-        findings2, _ = analyze_package(pkg, units=False)
+        # Fix the mix (convert through an exchange function); the
+        # baselined fingerprint becomes stale.
+        (pkg / "acct.py").write_text(UNIT_CLEAN["acct.py"])
+        findings2, _ = analyze_package(pkg)
         new, suppressed, stale = apply_baseline(
             findings2, load_baseline(path)
         )
         assert new == [] and suppressed == []
-        assert stale
+        assert stale == [MIX_FINGERPRINT]
 
     def test_justifications_survive_rewrite(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        findings, _ = analyze_package(pkg, units=False)
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        findings, _ = analyze_package(pkg)
         path = tmp_path / "baseline.json"
         write_baseline(path, findings, {})
         old = load_baseline(path)
-        fp = next(iter(old))
-        old[fp] = "documented one-cycle latency"
+        assert list(old) == [MIX_FINGERPRINT]
+        old[MIX_FINGERPRINT] = "documented exchange rate of 1"
         write_baseline(path, findings, old)
-        assert load_baseline(path)[fp] == "documented one-cycle latency"
+        assert load_baseline(path)[MIX_FINGERPRINT] == \
+            "documented exchange rate of 1"
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -314,20 +214,21 @@ class TestBaseline:
 
 class TestCLI:
     def test_flow_json_format(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
-        proc = run_cli("flow", str(pkg), "--format", "json", "--no-units")
+        pkg = write_pkg(tmp_path, UNIT_MIX)
+        proc = run_cli("flow", str(pkg), "--format", "json")
         assert proc.returncode == 1, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["tool"] == "flow"
-        assert doc["count"] == len(doc["findings"]) > 0
-        f = doc["findings"][0]
+        assert doc["count"] == len(doc["findings"]) == 1
+        (f,) = doc["findings"]
         assert set(f) == {
             "path", "line", "col", "rule", "message", "fingerprint"
         }
-        assert f["rule"].startswith("FLOW")
+        assert f["rule"] == "UNIT001"
+        assert f["fingerprint"] == MIX_FINGERPRINT
 
     def test_flow_baseline_gate(self, tmp_path):
-        pkg = write_pkg(tmp_path, HAZARD_SIM)
+        pkg = write_pkg(tmp_path, UNIT_MIX)
         path = tmp_path / "baseline.json"
         proc = run_cli(
             "flow", str(pkg), "--baseline", str(path), "--write-baseline"
@@ -360,17 +261,22 @@ class TestCLI:
 
 class TestRealTree:
     def test_src_repro_is_clean_against_baseline(self):
+        """The tree needs no flow baseline: zero findings, none accepted."""
         findings, notes = analyze_package(SRC_REPRO)
-        assert any("CMPSimulator._run_reference" in n for n in notes), notes
-        new, _, stale = apply_baseline(findings, load_baseline(BASELINE))
-        assert new == [], [f.render() for f in new]
-        assert stale == [], stale
+        assert findings == [], [f.render() for f in findings]
+        assert any("indexed" in n for n in notes), notes
+        proc = run_cli("flow", str(SRC_REPRO))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == ""
 
     def test_baseline_entries_are_justified(self):
-        data = json.loads(BASELINE.read_text())
-        for entry in data["findings"]:
-            assert entry["justification"], entry["fingerprint"]
-            assert "TODO" not in entry["justification"], entry["fingerprint"]
+        """Every default baseline the ``all`` gate loads is justified."""
+        from repro.simcheck.cli import PASSES
+
+        for p in PASSES.values():
+            path = REPO / p.baseline
+            for fp, why in load_baseline(path).items():
+                assert why and "TODO" not in why, (p.name, fp)
 
     def test_units_module_is_zero_cost(self):
         from repro.units import Cycles, Joules, Tokens, Watts
