@@ -23,7 +23,7 @@ class GsharePredictor:
         if counters & (counters - 1):
             raise ValueError("counter count must be a power of two")
         # Weakly-taken initial state: loops predict well immediately.
-        self._table = bytearray([2] * counters)
+        self._table = bytearray(b"\x02") * counters
         self._mask = counters - 1
         self.history = 0
         self._hist_mask = (1 << history_bits) - 1

@@ -16,6 +16,7 @@ quantizes any instruction's base energy to its class centroid
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -175,6 +176,7 @@ def calibrate_token_classes(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def default_token_classes(
     k: int = 8, seed: int = 12345, token_unit: float = 1.0
 ) -> TokenClassMap:
@@ -183,6 +185,13 @@ def default_token_classes(
     We synthesise a calibration sample with an integer-dominated dynamic
     instruction mix (SPECint2000 is integer code) and small per-dynamic-
     instance energy noise (data-dependent toggling), then cluster it.
+
+    Memoized per process: the calibration is a deterministic function of
+    its arguments and the frozen map is safe to share, so only the first
+    simulator a process builds pays for the K-means (the paper's one-off
+    Section III.B step).  The memo holds one map per ``(k, seed,
+    token_unit)`` a process asks for, a handful per configuration.
+    ``default_token_classes.__wrapped__`` is the uncached calibration.
     """
     rng = np.random.default_rng(seed)
     # SPECint-like dynamic mix: heavy on INT_ALU, loads and branches.

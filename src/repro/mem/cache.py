@@ -7,14 +7,19 @@ line (for write-back accounting and inclusive-hierarchy invalidation),
 not data values.
 
 The implementation favours the common case — a hit in a 2- or 4-way
-set — which is a short scan over a Python list.  Tag arrays are plain
-nested lists: for associativities this small they beat numpy scalar
-indexing by a wide margin.
+set — which is a short scan over a Python list.  Each cache keeps its
+tags and LRU stamps in two flat lists, way ``w`` of set ``s`` at index
+``s * assoc + w``, so building a cache allocates two lists whatever its
+size (lists per set would make a 16-core hierarchy 163,840 lists).  For
+associativities this small plain lists beat numpy scalar indexing by a
+wide margin.  No code outside this module indexes the two lists; the
+fast engine's spin replay goes through :meth:`Cache.slot_of` and
+:meth:`Cache.restamp`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
 
@@ -23,8 +28,9 @@ class Cache:
     """One level of set-associative cache.
 
     Stores line addresses (address >> offset_bits) rather than raw
-    addresses.  ``probe``/``fill``/``invalidate`` are the only
-    operations; the hierarchy composes them into load/store handling.
+    addresses.  ``probe``/``fill``/``invalidate`` are the access
+    operations; the hierarchy composes them into load/store handling,
+    and warms a cache with ``preload``.
     """
 
     __slots__ = (
@@ -38,12 +44,9 @@ class Cache:
         self.assoc = cfg.assoc
         self._index_mask = self.num_sets - 1
         self._offset_bits = cfg.offset_bits
-        self._tags: List[List[int]] = [
-            [-1] * self.assoc for _ in range(self.num_sets)
-        ]
-        self._lru: List[List[int]] = [
-            [0] * self.assoc for _ in range(self.num_sets)
-        ]
+        ways = self.num_sets * self.assoc
+        self._tags: List[int] = [-1] * ways
+        self._lru: List[int] = [0] * ways
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -52,18 +55,15 @@ class Cache:
     def line_of(self, addr: int) -> int:
         return addr >> self._offset_bits
 
-    def _set_of(self, line: int) -> int:
-        return line & self._index_mask
-
     def probe(self, line: int, update_lru: bool = True) -> bool:
         """True if ``line`` is present; updates LRU and counters."""
-        s = self._set_of(line)
-        tags = self._tags[s]
-        for w in range(self.assoc):
+        base = (line & self._index_mask) * self.assoc
+        tags = self._tags
+        for w in range(base, base + self.assoc):
             if tags[w] == line:
                 if update_lru:
                     self._tick += 1
-                    self._lru[s][w] = self._tick
+                    self._lru[w] = self._tick
                 self.hits += 1
                 return True
         self.misses += 1
@@ -71,17 +71,17 @@ class Cache:
 
     def contains(self, line: int) -> bool:
         """Presence check without touching LRU or hit/miss counters."""
-        return line in self._tags[self._set_of(line)]
+        base = (line & self._index_mask) * self.assoc
+        return line in self._tags[base:base + self.assoc]
 
     def fill(self, line: int) -> Optional[int]:
         """Insert ``line``; returns the evicted line (or None)."""
-        s = self._set_of(line)
-        tags = self._tags[s]
-        lru = self._lru[s]
+        base = (line & self._index_mask) * self.assoc
+        end = base + self.assoc
+        tags = self._tags
+        lru = self._lru
         self._tick += 1
-        victim_way = 0
-        victim_line: Optional[int] = None
-        for w in range(self.assoc):
+        for w in range(base, end):
             if tags[w] == line:      # already present (racing fills)
                 lru[w] = self._tick
                 return None
@@ -90,8 +90,9 @@ class Cache:
                 lru[w] = self._tick
                 return None
         # Set full: evict true LRU way.
-        oldest = lru[0]
-        for w in range(1, self.assoc):
+        victim_way = base
+        oldest = lru[base]
+        for w in range(base + 1, end):
             if lru[w] < oldest:
                 oldest = lru[w]
                 victim_way = w
@@ -101,22 +102,69 @@ class Cache:
         self.evictions += 1
         return victim_line
 
+    def preload(self, lines: Iterable[int]) -> None:
+        """Insert every absent line of ``lines`` in order, as ``fill``
+        would, discarding victims; present lines are left untouched.
+
+        The bulk form of the prewarm loop ``if not contains(line):
+        fill(line)``: same ways, stamps, ``_tick`` and ``evictions`` from
+        any starting state, in one call instead of two per line.
+        Hit/miss counters are not touched.
+        """
+        tags = self._tags
+        lru = self._lru
+        mask = self._index_mask
+        assoc = self.assoc
+        tick = self._tick
+        evictions = self.evictions
+        for line in lines:
+            base = (line & mask) * assoc
+            ways = tags[base:base + assoc]
+            if line in ways:
+                continue
+            tick += 1
+            try:
+                w = base + ways.index(-1)
+            except ValueError:
+                # Set full: the first least-recently-used way, as fill.
+                stamps = lru[base:base + assoc]
+                w = base + stamps.index(min(stamps))
+                evictions += 1
+            tags[w] = line
+            lru[w] = tick
+        self._tick = tick
+        self.evictions = evictions
+
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present; returns whether it was present."""
-        s = self._set_of(line)
-        tags = self._tags[s]
-        for w in range(self.assoc):
+        base = (line & self._index_mask) * self.assoc
+        tags = self._tags
+        for w in range(base, base + self.assoc):
             if tags[w] == line:
                 tags[w] = -1
-                self._lru[s][w] = 0
+                self._lru[w] = 0
                 return True
         return False
 
+    def slot_of(self, line: int) -> Optional[int]:
+        """Opaque handle of the way holding ``line`` (None if absent),
+        for :meth:`restamp`.  Touches neither LRU nor counters."""
+        base = (line & self._index_mask) * self.assoc
+        tags = self._tags
+        for w in range(base, base + self.assoc):
+            if tags[w] == line:
+                return w
+        return None
+
+    def restamp(self, slot: int) -> None:
+        """Give the way at ``slot`` the current LRU stamp, without
+        advancing the tick: the state a run of hits on one line leaves."""
+        self._lru[slot] = self._tick
+
     def flush(self) -> None:
-        for s in range(self.num_sets):
-            for w in range(self.assoc):
-                self._tags[s][w] = -1
-                self._lru[s][w] = 0
+        ways = len(self._tags)
+        self._tags[:] = [-1] * ways
+        self._lru[:] = [0] * ways
 
     @property
     def accesses(self) -> int:
@@ -124,10 +172,5 @@ class Cache:
 
     def occupancy(self) -> Tuple[int, int]:
         """(valid lines, total ways) — used by tests and reports."""
-        valid = sum(
-            1
-            for s in range(self.num_sets)
-            for w in range(self.assoc)
-            if self._tags[s][w] != -1
-        )
-        return valid, self.num_sets * self.assoc
+        ways = len(self._tags)
+        return ways - self._tags.count(-1), ways

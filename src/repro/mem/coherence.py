@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..units import Cycles
 
@@ -128,6 +128,27 @@ class Directory:
             self._core_state[core].pop(line, None)
         else:
             self._core_state[core][line] = state
+
+    def add_sharer(self, core: int, lines: Iterable[int]) -> None:
+        """Enter ``core`` as a clean sharer (S) of every line of ``lines``
+        it does not hold yet; lines it holds keep their state.
+
+        The coherence side of an L2 prewarm: no transaction, latency,
+        counter, sanitizer or telemetry event.  Entries and line states
+        are created in the order of ``lines``.
+        """
+        view = self._core_state[core]
+        entries = self._entries
+        shared = State.S
+        for line in lines:
+            if line in view:        # any state but I (I is never stored)
+                continue
+            entry = entries.get(line)
+            if entry is None:
+                entries[line] = DirEntry(sharers={core})
+            else:
+                entry.sharers.add(core)
+            view[line] = shared
 
     def _dir_hops(self, requester: int, line: int) -> int:
         return self.mesh.hop_count(requester, self.home_of(line))

@@ -13,6 +13,7 @@ energy (L1/L2/memory accesses, NoC flit-hops, invalidations).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, NamedTuple
 
 from ..config import CMPConfig
@@ -187,22 +188,12 @@ class MemoryHierarchy:
         by then the initialization phase has touched all program data, so
         steady-state runs see capacity/coherence misses, not a cold-start
         compulsory-miss storm.  Shared lines enter in S state (read by
-        everyone during initialization).
+        everyone during initialization).  Lines already present keep
+        their place and state; victims of a full set are dropped without
+        back-invalidation or directory eviction.
         """
-        l2 = self.l2[core]
-        hits, misses = l2.hits, l2.misses
-        for line in private_lines:
-            if not l2.contains(line):
-                l2.fill(line)
-        for line in shared_lines:
-            if not l2.contains(line):
-                l2.fill(line)
-            st = self.directory.state_of(core, line)
-            if st == State.I:
-                entry = self.directory._entry(line)
-                entry.sharers.add(core)
-                self.directory._set_state(core, line, State.S)
-        l2.hits, l2.misses = hits, misses
+        self.l2[core].preload(chain(private_lines, shared_lines))
+        self.directory.add_sharer(core, shared_lines)
 
     # -- statistics ---------------------------------------------------------
 

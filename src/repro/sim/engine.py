@@ -416,14 +416,7 @@ class FastEngine:
             core._bar_generation, int(core.sync_phase),
         )
         line = self._spin_line(core)
-        l1d = self.l1d[i]
-        lru = None
-        s = line & l1d._index_mask
-        tags = l1d._tags[s]
-        for w in range(l1d.assoc):
-            if tags[w] == line:
-                lru = (s, w)
-                break
+        lru = self.l1d[i].slot_of(line)
         hist = pred.history
         ptags = ptht._tags
         pcosts = ptht._costs
@@ -665,9 +658,7 @@ class FastEngine:
             setattr(obj, attr, base + rounds * d)
         # During a pure hit-spin every L1D probe is the spin line's, so
         # its LRU stamp always equals the (just restored) global tick.
-        l1d = self.l1d[i]
-        lru_s, lru_w = S[_S_LRU]
-        l1d._lru[lru_s][lru_w] = l1d._tick
+        self.l1d[i].restamp(S[_S_LRU])
         acc.consumed = S[_S_CONS]
         acc.predicted = S[_S_PRED]
         st.mode = _REAL

@@ -130,3 +130,194 @@ class TestOccupancyInvariants:
                     c.fill(line)
         # Last two passes should be pure hits.
         assert c.hits >= 2 * len(lines)
+
+
+class _NestedCache:
+    """The one-list-per-set cache the flat layout replaced, as the
+    reference for the differential test below: its methods unchanged,
+    plus ``restamp_line`` and a (set, way) reader."""
+
+    def __init__(self, cfg: CacheConfig) -> None:
+        self.num_sets = cfg.num_sets
+        self.assoc = cfg.assoc
+        self._index_mask = self.num_sets - 1
+        self._tags = [[-1] * self.assoc for _ in range(self.num_sets)]
+        self._lru = [[0] * self.assoc for _ in range(self.num_sets)]
+        self._tick = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def probe(self, line, update_lru=True):
+        s = line & self._index_mask
+        tags = self._tags[s]
+        for w in range(self.assoc):
+            if tags[w] == line:
+                if update_lru:
+                    self._tick += 1
+                    self._lru[s][w] = self._tick
+                self.hits += 1
+                return True
+        self.misses += 1
+        return False
+
+    def contains(self, line):
+        return line in self._tags[line & self._index_mask]
+
+    def fill(self, line):
+        s = line & self._index_mask
+        tags = self._tags[s]
+        lru = self._lru[s]
+        self._tick += 1
+        victim_way = 0
+        for w in range(self.assoc):
+            if tags[w] == line:
+                lru[w] = self._tick
+                return None
+            if tags[w] == -1:
+                tags[w] = line
+                lru[w] = self._tick
+                return None
+        oldest = lru[0]
+        for w in range(1, self.assoc):
+            if lru[w] < oldest:
+                oldest = lru[w]
+                victim_way = w
+        victim_line = tags[victim_way]
+        tags[victim_way] = line
+        lru[victim_way] = self._tick
+        self.evictions += 1
+        return victim_line
+
+    def invalidate(self, line):
+        s = line & self._index_mask
+        tags = self._tags[s]
+        for w in range(self.assoc):
+            if tags[w] == line:
+                tags[w] = -1
+                self._lru[s][w] = 0
+                return True
+        return False
+
+    def restamp_line(self, line):
+        """What FastEngine's replay exit did: the way holding ``line``
+        gets the current tick as its stamp."""
+        s = line & self._index_mask
+        for w in range(self.assoc):
+            if self._tags[s][w] == line:
+                self._lru[s][w] = self._tick
+                return True
+        return False
+
+    def flush(self):
+        for s in range(self.num_sets):
+            for w in range(self.assoc):
+                self._tags[s][w] = -1
+                self._lru[s][w] = 0
+
+    def occupancy(self):
+        valid = sum(
+            1
+            for s in range(self.num_sets)
+            for w in range(self.assoc)
+            if self._tags[s][w] != -1
+        )
+        return valid, self.num_sets * self.assoc
+
+    def ways(self):
+        return [
+            (self._tags[s][w], self._lru[s][w])
+            for s in range(self.num_sets)
+            for w in range(self.assoc)
+        ]
+
+
+def _flat_ways(cache: Cache):
+    return list(zip(cache._tags, cache._lru))
+
+
+def _counters(c):
+    return (c._tick, c.hits, c.misses, c.evictions, c.occupancy())
+
+
+# 24 lines over 4 sets: most operations find their line present or
+# evict from a full set.  fill is listed twice to fill sets faster.
+_LINES = st.integers(0, 23)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("probe"), _LINES, st.booleans()),
+        st.tuples(st.just("fill"), _LINES),
+        st.tuples(st.just("fill"), _LINES),
+        st.tuples(st.just("invalidate"), _LINES),
+        st.tuples(st.just("contains"), _LINES),
+        st.tuples(st.just("restamp"), _LINES),
+        st.tuples(st.just("preload"), _LINES, st.integers(0, 40)),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=120,
+)
+
+
+class TestFlatLayoutMatchesNested:
+    """The flat ``set * assoc + way`` arrays against the one-list-per-set
+    cache they replaced: same return values, victims, counters, occupancy
+    and (set, way) contents after every operation.  ``preload`` is
+    checked against the per-line ``contains``/``fill`` loop it stands
+    for, and ``slot_of``/``restamp`` against the engine's old direct
+    (set, way) re-stamp."""
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS)
+    def test_same_behaviour(self, assoc, ops):
+        cfg = CacheConfig(4 * assoc * 64, assoc)
+        flat, ref = Cache(cfg), _NestedCache(cfg)
+        for op in ops:
+            kind, args = op[0], op[1:]
+            if kind == "restamp":
+                slot = flat.slot_of(args[0])
+                if slot is not None:
+                    flat.restamp(slot)
+                assert (slot is not None) == ref.restamp_line(args[0])
+            elif kind == "preload":
+                lines = range(args[0], args[0] + args[1])
+                flat.preload(lines)
+                for line in lines:
+                    if not ref.contains(line):
+                        ref.fill(line)
+            else:
+                assert getattr(flat, kind)(*args) == getattr(ref, kind)(*args)
+            assert _counters(flat) == _counters(ref)
+            assert _flat_ways(flat) == ref.ways()
+
+    def test_preload_evicts_like_fill(self):
+        """A range three times the cache's size overflows every set."""
+        cfg = CacheConfig(4 * 2 * 64, 2)
+        flat, ref = Cache(cfg), _NestedCache(cfg)
+        for c in (flat, ref):
+            c.fill(5)
+            c.fill(9)
+            c.probe(5)
+        flat.preload(range(3, 27))
+        for line in range(3, 27):
+            if not ref.contains(line):
+                ref.fill(line)
+        assert flat.evictions == ref.evictions > 0
+        assert _counters(flat) == _counters(ref)
+        assert _flat_ways(flat) == ref.ways()
+
+    def test_preload_breaks_lru_ties_to_the_first_way(self):
+        """Equal stamps (a re-stamp after a hit) evict the lower way."""
+        cfg = CacheConfig(4 * 2 * 64, 2)
+        flat, ref = Cache(cfg), _NestedCache(cfg)
+        for c in (flat, ref):
+            c.fill(0)
+            c.fill(4)                # same set: full
+            c.probe(0)
+        flat.restamp(flat.slot_of(4))
+        ref.restamp_line(4)
+        assert _flat_ways(flat) == ref.ways()
+        flat.preload(range(8, 9))
+        ref.fill(8)
+        assert _flat_ways(flat) == ref.ways()
+        assert flat.contains(4) and not flat.contains(0)

@@ -1,8 +1,10 @@
 """Tests for the per-core cache hierarchy + coherence glue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import CMPConfig
+from repro.config import CacheConfig, CMPConfig, MemoryConfig
 from repro.mem.coherence import State
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.noc.mesh import Mesh2D
@@ -160,3 +162,108 @@ class TestInclusive:
         rates = hier.miss_rates(0)
         assert 0.0 <= rates["l1d"] <= 1.0
         assert rates["l1d"] == pytest.approx(0.5)
+
+
+def _per_line_prewarm(h, core, private_lines, shared_lines=range(0)):
+    """The per-line prewarm loop that ``Cache.preload`` and
+    ``Directory.add_sharer`` replaced, as the differential reference."""
+    l2 = h.l2[core]
+    hits, misses = l2.hits, l2.misses
+    for line in private_lines:
+        if not l2.contains(line):
+            l2.fill(line)
+    for line in shared_lines:
+        if not l2.contains(line):
+            l2.fill(line)
+        if h.directory.state_of(core, line) == State.I:
+            entry = h.directory._entry(line)
+            entry.sharers.add(core)
+            h.directory._set_state(core, line, State.S)
+    l2.hits, l2.misses = hits, misses
+
+
+def _hierarchy_state(h):
+    """Every cache way with its LRU stamp and counters, then the
+    directory's entries and per-core line states, in dict order."""
+    caches = [
+        (list(zip(c._tags, c._lru)), c._tick, c.hits, c.misses, c.evictions)
+        for level in (h.l1i, h.l1d, h.l2)
+        for c in level
+    ]
+    d = h.directory
+    entries = [
+        (line, e.owner, sorted(e.sharers), e.dirty)
+        for line, e in d._entries.items()
+    ]
+    return caches, entries, [list(v.items()) for v in d._core_state]
+
+
+def _tiny_hierarchy():
+    """Three cores whose 8-set, 4-way L2 (32 lines) a short range overflows."""
+    mem = MemoryConfig(
+        l1i=CacheConfig(4 * 2 * 64, 2),
+        l1d=CacheConfig(4 * 2 * 64, 2),
+        l2_per_core=CacheConfig(8 * 4 * 64, 4, latency=12),
+    )
+    cfg = CMPConfig(num_cores=3, mem=mem)
+    return MemoryHierarchy(cfg, Mesh2D(3, cfg.net))
+
+
+_PRIV_LINE = PRIV >> 6
+_SHARED_LINE = SHARED >> 6
+_CORE = st.integers(0, 2)
+_PREWARM_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("prewarm"), _CORE,
+            st.integers(0, 40), st.integers(0, 80),
+            st.integers(0, 40), st.integers(0, 80),
+        ),
+        st.tuples(st.sampled_from(["load", "store"]), _CORE,
+                  st.booleans(), st.integers(0, 60)),
+    ),
+    max_size=25,
+)
+
+
+class TestBulkPrewarmMatchesPerLineLoop:
+    """``prewarm`` against the per-line loop it replaced, from whatever
+    state earlier prewarms and accesses left: ranges repeat lines already
+    present, overlap each other and overflow sets (the eviction branch no
+    shipped benchmark reaches), and shared lines may already be held in
+    any MOESI state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_PREWARM_OPS)
+    def test_same_state_after_every_step(self, ops):
+        bulk, ref = _tiny_hierarchy(), _tiny_hierarchy()
+        for op in ops:
+            if op[0] == "prewarm":
+                _, core, p0, plen, s0, slen = op
+                private = range(_PRIV_LINE + p0, _PRIV_LINE + p0 + plen)
+                shared = range(_SHARED_LINE + s0, _SHARED_LINE + s0 + slen)
+                bulk.prewarm(core, private, shared)
+                _per_line_prewarm(ref, core, private, shared)
+            else:
+                kind, core, shared, off = op
+                addr = (SHARED if shared else PRIV) + off * 64
+                assert getattr(bulk, kind)(core, addr) == getattr(ref, kind)(
+                    core, addr)
+            assert _hierarchy_state(bulk) == _hierarchy_state(ref)
+
+    def test_overflowing_prewarm_evicts_like_fill(self):
+        bulk, ref = _tiny_hierarchy(), _tiny_hierarchy()
+        for h in (bulk, ref):
+            h.load(0, SHARED)            # E, then M: kept by the prewarm
+            h.store(0, SHARED)
+            h.load(0, PRIV + 3 * 64)
+        private = range(_PRIV_LINE, _PRIV_LINE + 70)
+        shared = range(_SHARED_LINE, _SHARED_LINE + 20)
+        bulk.prewarm(0, private, shared)
+        _per_line_prewarm(ref, 0, private, shared)
+        bulk.prewarm(1, range(0, 40))
+        _per_line_prewarm(ref, 1, range(0, 40))
+        assert bulk.l2[0].evictions == ref.l2[0].evictions > 0
+        assert bulk.l2[1].evictions == ref.l2[1].evictions > 0
+        assert bulk.directory.state_of(0, _SHARED_LINE) == State.M
+        assert _hierarchy_state(bulk) == _hierarchy_state(ref)

@@ -151,7 +151,34 @@ class TestTokenClassCalibration:
             calibrate_token_classes([1.0, 2.0], token_unit=0.0)
 
     def test_default_deterministic(self):
-        a = default_token_classes(seed=9)
-        b = default_token_classes(seed=9)
+        # Two uncached calibrations: the memo below relies on this.
+        a = default_token_classes.__wrapped__(seed=9)
+        b = default_token_classes.__wrapped__(seed=9)
         assert a.centroids == b.centroids
         assert a.class_tokens == b.class_tokens
+
+
+class TestDefaultTokenClassesMemo:
+    """``default_token_classes`` is memoized per process: the first
+    simulator pays for the K-means, every later one gets the same map."""
+
+    def test_same_arguments_same_object(self):
+        a = default_token_classes(8, seed=77, token_unit=0.25)
+        b = default_token_classes(8, seed=77, token_unit=0.25)
+        assert a is b
+
+    def test_memoized_map_equals_fresh_calibration(self):
+        memo = default_token_classes(8, seed=77, token_unit=0.25)
+        fresh = default_token_classes.__wrapped__(8, seed=77, token_unit=0.25)
+        assert fresh is not memo
+        assert fresh == memo
+
+    def test_other_token_unit_or_seed_gives_other_map(self):
+        base = default_token_classes(8, seed=77, token_unit=0.25)
+        assert default_token_classes(8, seed=77, token_unit=0.5) != base
+        assert default_token_classes(8, seed=78, token_unit=0.25) != base
+
+    def test_shared_map_is_frozen(self):
+        cmap = default_token_classes(8, seed=77, token_unit=0.25)
+        with pytest.raises(AttributeError):
+            cmap.class_tokens = (1,)

@@ -22,7 +22,10 @@ None of them may perturb a single bit of simulator output.  If a future
 ``SimResult`` bytes do not cover the per-core state that never reaches
 a result but that ``FastEngine`` certifies REPLAY on and rebuilds at
 replay exit: the token accountant, the PTHT rows, the FU pools and the
-gshare table.  ``CORE_STATE_HASHES`` pins that state as well.
+gshare table.  ``CORE_STATE_HASHES`` pins that state as well.  Nor do
+they cover the caches and the directory: ``HIERARCHY_INIT_HASH`` and
+``HIERARCHY_RUN_HASH`` pin every way, LRU stamp and line state after
+set-up (the L2 prewarm) and after the run.
 
 The hashes were re-captured once, deliberately, when the end-of-run
 off-by-one in ``CMPSimulator.run`` was fixed (the run loop used to burn
@@ -88,6 +91,16 @@ CORE_STATE_HASHES = {
     ),
 }
 
+# sha256 of the memory hierarchy (see hierarchy_digest) right after
+# CMPSimulator.__init__ and after the run, recorded on the one-list-per-set
+# cache layout.  Every case and both engines leave the same state.
+HIERARCHY_INIT_HASH = (
+    "1dcd19a2873882f265b8fbd0801a194c1aaca6056b1ce201e6da327f8b0ce689"
+)
+HIERARCHY_RUN_HASH = (
+    "3617d7d8d359ac72f4a5241230b3808044a9a0a775c57e8977ca3e91f90acac7"
+)
+
 
 def _make_program(num_threads: int, work: int) -> ParallelProgram:
     threads = []
@@ -130,6 +143,37 @@ def core_state_digest(core) -> str:
     return h.hexdigest()
 
 
+def _cache_ways(cache) -> list:
+    """(tag, LRU stamp) of every way in (set, way) order.  The only reader
+    of a cache's storage layout: a layout change rewrites this helper,
+    never the recorded hashes."""
+    # Flat storage: way w of set s at index s * assoc + w.
+    return list(zip(cache._tags, cache._lru))
+
+
+def hierarchy_digest(hierarchy) -> str:
+    """sha256 of the memory-hierarchy state no ``SimResult`` holds: every
+    L1I, L1D and L2 way with its LRU stamp and counters, the directory's
+    entries and each core's line states (in dict order)."""
+    h = hashlib.sha256()
+    for level in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
+        for cache in level:
+            h.update(repr((
+                _cache_ways(cache), cache._tick,
+                cache.hits, cache.misses, cache.evictions,
+            )).encode())
+    d = hierarchy.directory
+    h.update(repr([
+        (line, e.owner, sorted(e.sharers), e.dirty)
+        for line, e in d._entries.items()
+    ]).encode())
+    h.update(repr([
+        [(line, int(st)) for line, st in view.items()]
+        for view in d._core_state
+    ]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("policy", sorted(SEED_HASHES))
 def test_simresult_pickle_identical_to_seed(policy: str, engine: str) -> None:
@@ -142,7 +186,9 @@ def test_simresult_pickle_identical_to_seed(policy: str, engine: str) -> None:
         technique=technique,
         ptb_policy=ptb_policy,
     )
+    assert hierarchy_digest(sim.hierarchy) == HIERARCHY_INIT_HASH
     result = sim.run(40_000)
+    assert hierarchy_digest(sim.hierarchy) == HIERARCHY_RUN_HASH
     assert result.cycles == SEED_CYCLES[policy]
     blob = pickle.dumps(result, protocol=4)
     assert hashlib.sha256(blob).hexdigest() == SEED_HASHES[policy]
