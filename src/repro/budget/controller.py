@@ -12,6 +12,8 @@ core may do next cycle.  The simulator's contract:
    (EU) and power-token consumption; the controller updates actuator
    state for the *next* cycle.  All reactions therefore see at least
    one cycle of latency, as a real controller would.
+3. An ``end_cycle`` that may change a ``v_scale`` entry bumps
+   ``v_epoch``: the fast engine re-reads voltages only when it moves.
 
 The *naive* policy of Section III.C splits the global budget equally:
 ``local = global / num_cores``, and a core is only throttled when the
@@ -24,15 +26,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..config import CMPConfig
-from ..power.dvfs import DVFSController
-from ..power.microarch import (
-    ISSUE_TECHNIQUES,
-    MicroarchThrottle,
-    Technique,
-    select_technique,
-)
+from ..power.dvfs import DVFSBank
+from ..power.microarch import Technique, ThrottleBank, select_technique
 from ..power.model import EnergyModel
 from ..units import Tokens, Watts
+
+_INF = float("inf")
 
 
 class BudgetController:
@@ -57,13 +56,22 @@ class BudgetController:
         self.fetch_allowed: List[bool] = [True] * n
         self.issue_width: List[Optional[int]] = [None] * n
         self.v_scale: List[float] = [1.0] * n
+        #: Bumped by every ``end_cycle`` that may have changed a
+        #: ``v_scale`` entry; the fast engine caches per-core power
+        #: against it.
+        self.v_epoch = 0
         #: Per-core budget *line* used by the AoPB metric (Figure 1):
         #: the equal share under the naive split; PTB raises/lowers it
         #: with granted/pledged tokens while conserving the global sum.
         self.budget_lines: List[Watts] = [self.local_budget] * n
         self.throttled_cycles = 0
-        #: Optional :class:`repro.telemetry.TelemetrySession` hook.
-        self._telemetry = None
+        #: Cycles whose ``end_cycle`` left the steady path: a DVFS window
+        #: closed, a mode transition was in flight, a throttle was
+        #: engaged, or the CMP was over its global budget.
+        self.unsteady_cycles = 0
+        #: The actuator banks (None = no such level).
+        self.dvfs: Optional[DVFSBank] = None
+        self.throttles: Optional[ThrottleBank] = None
 
     def begin_cycle(self, now: int) -> None:  # pragma: no cover - trivial
         pass
@@ -75,7 +83,11 @@ class BudgetController:
         powers: List[Watts],
         sync_domain=None,
     ) -> None:
-        pass
+        """React to the cycle that just completed.
+
+        ``tokens`` are the cores' power-token counts (non-negative
+        ints), ``powers`` their smoothed sensor readings.
+        """
 
 
 class LocalBudgetController(BudgetController):
@@ -102,17 +114,47 @@ class LocalBudgetController(BudgetController):
         self.name = technique
         self.uses_ptht = technique == "2level"
         n = cfg.num_cores
-        dfs = technique == "dfs"
-        self._dvfs = [DVFSController(cfg.dvfs, dfs=dfs) for _ in range(n)]
-        self._throttles = (
-            [MicroarchThrottle() for _ in range(n)]
-            if technique == "2level"
-            else None
+        self.dvfs = DVFSBank(
+            cfg.dvfs, n, dfs=technique == "dfs",
+            execute=self.execute, v_scale=self.v_scale,
         )
+        if technique == "2level":
+            self.throttles = ThrottleBank(
+                n, cfg.core.issue_width, self.fetch_allowed, self.issue_width
+            )
         # Window-averaged global-over verdict gating the DVFS level.
         self._win_energy = 0.0
-        self._win_left = cfg.dvfs.window_cycles
         self._global_over_window = False
+
+    def _steady(self) -> bool:
+        """No window closes this cycle, no transition or throttle is live."""
+        throttles = self.throttles
+        return not (
+            self.dvfs.window_left <= 1
+            or self.dvfs.moving
+            or (throttles is not None and throttles.engaged)
+        )
+
+    def _level_one(self, powers: List[Watts]) -> Watts:
+        """Tick every core's DVFS; returns the CMP's total power.
+
+        The coarse level tracks the same window as the per-core mode
+        selection, so it only reacts when the *CMP* was over budget
+        across the window that just closed.
+        """
+        total: Watts = 0.0
+        for p in powers:
+            total += p
+        self._win_energy += total
+        dvfs = self.dvfs
+        if dvfs.window_left <= 1:
+            w = dvfs.window_cycles
+            self._global_over_window = (self._win_energy / w) > self.global_budget
+            self._win_energy = 0.0
+        budget = self.local_budget if self._global_over_window else _INF
+        if dvfs.tick(powers, budget):
+            self.v_epoch += 1
+        return total
 
     def end_cycle(
         self,
@@ -121,60 +163,34 @@ class LocalBudgetController(BudgetController):
         powers: List[Watts],
         sync_domain=None,
     ) -> None:
-        total = 0.0
-        for p in powers:
-            total += p
-        global_over_now = total > self.global_budget
-
-        # Track the same window the per-core DVFS controllers use, so the
-        # coarse level only reacts when the *CMP* is over budget.
-        self._win_energy += total
-        self._win_left -= 1
-        if self._win_left <= 0:
-            w = self.cfg.dvfs.window_cycles
-            self._global_over_window = (self._win_energy / w) > self.global_budget
-            self._win_energy = 0.0
-            self._win_left = w
-
-        local = self.local_budget
-        dvfs_budget = local if self._global_over_window else float("inf")
-        throttles = self._throttles
-        dvfs = self._dvfs
-        execute = self.execute
-        v_scales = self.v_scale
-        fetch_allowed = self.fetch_allowed
-        issue_widths = self.issue_width
-        full_width = self.cfg.core.issue_width
-        telemetry = self._telemetry
-        for i in range(self.num_cores):
-            ctl = dvfs[i]
-            execute[i] = ctl.tick(powers[i], dvfs_budget)
-            v_scales[i] = ctl.v_scale
-            if throttles is not None:
-                th = throttles[i]
-                if global_over_now and powers[i] > local:
-                    overshoot = (powers[i] - local) / local
-                    th.set(select_technique(overshoot))
-                else:
-                    th.set(Technique.NONE)
-                th.tick()
-                fetch_allowed[i] = th.fetch_allowed
-                issue_widths[i] = (
-                    th.issue_width(full_width)
-                    if th.technique in ISSUE_TECHNIQUES
-                    else None
-                )
-                if th.technique != Technique.NONE:
-                    self.throttled_cycles += 1
-                if telemetry is not None:
-                    telemetry.on_throttle(i, int(th.technique))
+        steady = self._steady()
+        total = self._level_one(powers)
+        throttles = self.throttles
+        if throttles is not None:
+            if total > self.global_budget:
+                steady = False
+                local = self.local_budget
+                techniques = [
+                    select_technique((p - local) / local) if p > local
+                    else Technique.NONE
+                    for p in powers
+                ]
+                throttles.apply(techniques)
+                self.throttled_cycles += throttles.engaged
+            else:
+                throttles.release()
+        if not steady:
+            self.unsteady_cycles += 1
 
     # -- introspection -----------------------------------------------------
 
     def mode_of(self, core: int) -> int:
-        return self._dvfs[core].mode
+        return self.dvfs.mode[core]
+
+    def target_mode_of(self, core: int) -> int:
+        return self.dvfs.target_mode[core]
 
     def technique_of(self, core: int) -> Technique:
-        if self._throttles is None:
+        if self.throttles is None:
             return Technique.NONE
-        return self._throttles[core].technique
+        return Technique(self.throttles.technique[core])

@@ -28,10 +28,11 @@ the global constraint holds while tokens are in flight.
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 from typing import Deque, List, Optional, Tuple
 
 from ..config import CMPConfig
-from ..power.microarch import ISSUE_TECHNIQUES, Technique, select_technique
+from ..power.microarch import Technique, select_technique
 from ..power.model import EnergyModel
 from ..units import Tokens, Watts
 from .controller import LocalBudgetController
@@ -40,7 +41,7 @@ from .controller import LocalBudgetController
 class PTBLoadBalancer:
     """The centralized token redistribution logic (pure, unit-testable)."""
 
-    __slots__ = ("num_cores", "latency", "_pipe", "_pending",
+    __slots__ = ("num_cores", "latency", "_pipe", "delivered", "_none",
                  "granted_total", "_sanitizer", "_telemetry")
 
     def __init__(self, num_cores: int, latency: int) -> None:
@@ -50,12 +51,14 @@ class PTBLoadBalancer:
             raise ValueError("latency must be >= 0")
         self.num_cores = num_cores
         self.latency = latency
-        # In-flight (spares, overs, priority) snapshots.
+        # In-flight (spares, overs, priority) snapshots.  Pending pledges
+        # are summed from them on demand: a controller needs them only on
+        # cycles with a token request or a throttle decision.
         self._pipe: Deque[Tuple[List[int], List[int], List[int]]] = deque()
-        # Running per-core sum of the spare columns in ``_pipe``, kept
-        # incrementally (integer tokens, so add/subtract is exact) to
-        # make :meth:`pending_pledge` O(1) instead of O(latency).
-        self._pending: List[int] = [0] * num_cores
+        self._none: List[int] = [0] * num_cores
+        #: Spare column of the snapshot the last cycle delivered (zeros
+        #: while the pipe fills).
+        self.delivered: List[int] = self._none
         self.granted_total = 0
         #: Optional :class:`repro.simcheck.TokenSanitizer` hook.
         self._sanitizer = None
@@ -131,20 +134,21 @@ class PTBLoadBalancer:
         cycles ago (wire + processing delay).  With ``latency == 0`` the
         balancer is combinational (used by the ablation benchmarks).
         """
-        self._pipe.append((list(spares), list(overs), list(priority or ())))
-        pending = self._pending
-        for i in range(self.num_cores):
-            pending[i] += spares[i]
-        if len(self._pipe) <= self.latency:
+        pipe = self._pipe
+        pipe.append((list(spares), list(overs), list(priority or ())))
+        if len(pipe) <= self.latency:
             grants = [0] * self.num_cores
+            self.delivered = self._none
         else:
-            old_spares, old_overs, old_priority = self._pipe.popleft()
-            pool = 0
-            for i in range(self.num_cores):
-                delivered = old_spares[i]
-                pending[i] -= delivered
-                pool += delivered
-            grants = self.distribute(pool, old_overs, policy, old_priority)
+            old_spares, old_overs, old_priority = pipe.popleft()
+            self.delivered = old_spares
+            pool = sum(old_spares)
+            if old_priority or any(old_overs):
+                grants = self.distribute(pool, old_overs, policy, old_priority)
+            else:
+                # Nobody over budget and no priority core: nothing to
+                # serve, whatever the pool.
+                grants = [0] * self.num_cores
             if self._sanitizer is not None:
                 self._sanitizer.check_distribution(pool, grants)
             self.granted_total += sum(grants)
@@ -155,12 +159,13 @@ class PTBLoadBalancer:
 
     def pending_pledge(self, core: int) -> Tokens:
         """Tokens core ``core`` has reported spare and not yet delivered."""
-        return self._pending[core]
+        return sum(entry[0][core] for entry in self._pipe)
 
-    def copy_pending(self, out: List[Tokens]) -> None:
-        """Snapshot every core's undelivered pledge into ``out`` in place
-        (the controller's per-cycle buffer; avoids a fresh list per cycle)."""
-        out[:] = self._pending
+    def pending_pledges(self) -> List[Tokens]:
+        """Every core's undelivered pledge, as a new list."""
+        if not self._pipe:
+            return [0] * self.num_cores
+        return list(map(sum, zip(*[entry[0] for entry in self._pipe])))
 
 
 class PTBController(LocalBudgetController):
@@ -200,30 +205,53 @@ class PTBController(LocalBudgetController):
             1.0, energy.eu_to_tokens(self.local_budget - unctrl)
         )
         self.global_token_budget: Tokens = self.token_budget * cfg.num_cores
-        self._grants: List[Tokens] = [0] * cfg.num_cores
-        self._last_spares: List[Tokens] = [0] * cfg.num_cores
-        self._last_overs: List[Tokens] = [0] * cfg.num_cores
-        # Per-cycle scratch reused across end_cycle calls, so the hot
-        # path allocates no lists (four fresh ones per cycle otherwise).
-        # ``_last_spares``/``_last_overs`` alias the report buffers after
-        # end_cycle — observers read them before the next cycle
-        # overwrites them, and the balancer snapshots its own copies into
-        # the pipe.
-        self._zeros: List[Tokens] = [0] * cfg.num_cores
-        self._pledged_buf: List[Tokens] = [0] * cfg.num_cores
-        self._spares_buf: List[Tokens] = [0] * cfg.num_cores
-        self._overs_buf: List[Tokens] = [0] * cfg.num_cores
-        #: Per-core effective token budget of the last completed cycle:
-        #: allotment + delivered grants - every pledge still in flight.
-        self.effective_budgets: List[Tokens] = (
-            [self.token_budget] * cfg.num_cores
-        )
+        # Cores *approaching* their allotment request tokens too: the
+        # balancer round trip is 3-10 cycles, so waiting until a core is
+        # already over would leave every power ramp uncovered for a full
+        # round trip.
+        self._near_floor = int(self.token_budget * 0.85)
+        # int(token_budget - t) for an integer t below the floor: the
+        # float subtraction is exact there, so it equals this minus t.
+        self._whole_budget = int(self.token_budget)
+        n = cfg.num_cores
+        # Last cycle's delivered grants and reports (kept for the next
+        # cycle's requests and for observers: tests, sanitizers).
+        self._grants: List[Tokens] = [0] * n
+        self._last_spares: List[Tokens] = [0] * n
+        self._last_overs: List[Tokens] = [0] * n
+        self._no_overs: List[Tokens] = [0] * n
+        # The grants ``budget_lines`` were last derived from.
+        self._line_grants: List[Tokens] = self._grants
         #: Optional :class:`repro.simcheck.TokenSanitizer` hook.
         self._sanitizer = None
         self.policy_switches = 0
         self._current_policy = (
             "toall" if self.policy == "dynamic" else self.policy
         )
+        # Policy and priority depend only on the sync domain's state, so
+        # they are recomputed only when its ``version`` moves.
+        self._sync = None
+        self._sync_version = -1
+        self._cycle_policy = self._current_policy
+        self._priority: List[int] = []
+
+    @property
+    def effective_budgets(self) -> List[Tokens]:
+        """Per-core effective token budget of the last completed cycle.
+
+        Allotment + delivered grants - every pledge still in flight:
+        every snapshot still in the pipe, including the one delivered as
+        this cycle's grants (the pledges in flight before the cycle plus
+        its own spares).  A donor stays restricted through the cycle its
+        tokens are spent, so sum(effective budgets) + pipe contents
+        never exceeds the global token budget (paper Section III.E.2).
+        """
+        t_local = self.token_budget
+        balancer = self.balancer
+        # The pipe now holds this cycle's spares; the snapshot delivered
+        # this cycle left it.
+        restricted = map(add, balancer.pending_pledges(), balancer.delivered)
+        return [t_local + g - r for g, r in zip(self._grants, restricted)]
 
     def _select_policy(self, sync_domain) -> str:
         """Dynamic selector: lock-spinning -> ToOne, barriers -> ToAll."""
@@ -246,142 +274,109 @@ class PTBController(LocalBudgetController):
         powers: List[Watts],
         sync_domain=None,
     ) -> None:
-        n = self.num_cores
-        t_local = self.token_budget
-
+        steady = self._steady()
         # --- DVFS level 1, identical to the naive controller ----------------
-        total = 0.0
-        for p in powers:
-            total += p
-        self._win_energy += total
-        self._win_left -= 1
-        if self._win_left <= 0:
-            w = self.cfg.dvfs.window_cycles
-            self._global_over_window = (self._win_energy / w) > self.global_budget
-            self._win_energy = 0.0
-            self._win_left = w
-        dvfs_budget = (
-            self.local_budget if self._global_over_window else float("inf")
-        )
+        self._level_one(powers)
 
         # --- token bookkeeping ------------------------------------------------
-        global_over = sum(tokens) > self.global_token_budget
-        zeros = self._zeros
-        spares = self._spares_buf
-        spares[:] = zeros
-        overs = self._overs_buf
-        overs[:] = zeros
+        t_local = self.token_budget
+        near_floor = self._near_floor
+        balancer = self.balancer
         grants = self._grants
-        # Cores *approaching* their allotment request tokens too: the
-        # balancer round trip is 3-10 cycles, so waiting until a core is
-        # already over would leave every power ramp uncovered for a full
-        # round trip.
-        near_floor = int(t_local * 0.85)
-        # A pledging core's usable allotment shrinks by *everything* it
-        # has reported spare that the balancer has not delivered yet —
-        # the pipe holds `latency` cycles of undelivered pledges, not
-        # just the last cycle's.  Snapshot before this cycle's reports
-        # enter the pipe.
-        pledged = self._pledged_buf
-        self.balancer.copy_pending(pledged)
-        for i in range(n):
-            usable = t_local - pledged[i] + grants[i]
-            if tokens[i] >= near_floor:
-                # Power-hungry (at or approaching the allotment):
-                # request the gap between consumption and what is
-                # actually usable.  In-flight pledges shrink `usable`,
-                # so a ramping ex-donor asks for its own escrowed
-                # tokens back instead of spending them a second time
-                # while the balancer grants them to someone else.
-                request = tokens[i] - min(int(usable), near_floor)
-                if request > 0:
-                    overs[i] = int(request)
-            elif tokens[i] < t_local:
-                # Spares flow whenever they exist (Figure 7's barrier
-                # example): a spinner's unused allotment continuously
-                # subsidises whoever is doing useful work.  Each cycle's
-                # spare is drawn from that cycle's fresh allotment, so
-                # pending pledges don't reduce the *flow* a steady
-                # spinner offers — they reduce what it may *spend*.
-                spare = int(t_local - tokens[i])
-                if spare > 0:
-                    spares[i] = spare
+        # Spares flow whenever they exist (Figure 7's barrier example): a
+        # spinner's unused allotment continuously subsidises whoever is
+        # doing useful work.  Each cycle's spare is drawn from that
+        # cycle's fresh allotment, so pending pledges don't reduce the
+        # *flow* a steady spinner offers — they reduce what it may
+        # *spend*.  (near_floor < t_local, so every core below the
+        # floor has a positive spare, int(t_local - tok).)
+        whole = self._whole_budget
+        spares = [whole - tok if tok < near_floor else 0 for tok in tokens]
+        if max(tokens) < near_floor:
+            overs = self._no_overs
+        else:
+            # A pledging core's usable allotment shrinks by *everything*
+            # it has reported spare that the balancer has not delivered
+            # yet — the pipe holds `latency` cycles of undelivered
+            # pledges, not just the last cycle's.  Snapshot before this
+            # cycle's reports enter the pipe.
+            pledged = balancer.pending_pledges()
+            overs = [0] * self.num_cores
+            for i, tok in enumerate(tokens):
+                if tok >= near_floor:
+                    # Power-hungry (at or approaching the allotment):
+                    # request the gap between consumption and what is
+                    # actually usable.  In-flight pledges shrink
+                    # `usable`, so a ramping ex-donor asks for its own
+                    # escrowed tokens back instead of spending them a
+                    # second time while the balancer grants them to
+                    # someone else.
+                    usable = t_local - pledged[i] + grants[i]
+                    request = tok - min(int(usable), near_floor)
+                    if request > 0:
+                        overs[i] = int(request)
 
         if self._sanitizer is not None:
             self._sanitizer.check_reports(
                 tokens, spares, overs, t_local, self.global_token_budget
             )
 
-        policy = self._select_policy(sync_domain)
-        priority = (
-            sync_domain.contended_lock_holders()
-            if sync_domain is not None
-            else []
-        )
-        grants = self._grants = self.balancer.cycle(spares, overs, policy, priority)
-        # Last cycle's reports, kept for observability (tests, sanitizers).
+        if sync_domain is None:
+            policy = self._select_policy(None)
+            priority: List[int] = []
+        else:
+            version = sync_domain.version
+            if sync_domain is not self._sync or version != self._sync_version:
+                self._sync = sync_domain
+                self._sync_version = version
+                self._cycle_policy = self._select_policy(sync_domain)
+                self._priority = sync_domain.contended_lock_holders()
+            policy = self._cycle_policy
+            priority = self._priority
+        grants = self._grants = balancer.cycle(spares, overs, policy, priority)
         self._last_spares = spares
         self._last_overs = overs
 
+        # Metric plane: the AoPB budget line rises with granted tokens;
+        # a donor is simply under its local line, so the pledge does not
+        # lower the line it is measured against.
+        if grants != self._line_grants:
+            local_budget = self.local_budget
+            token_unit = self.energy.token_unit
+            self.budget_lines[:] = [local_budget + g * token_unit for g in grants]
+            self._line_grants = grants
+
         # --- actuators for next cycle -----------------------------------------
-        throttles = self._throttles
-        relax = self.relax
-        dvfs = self._dvfs
-        execute = self.execute
-        v_scales = self.v_scale
-        effective_budgets = self.effective_budgets
-        budget_lines = self.budget_lines
-        local_budget = self.local_budget
-        tokens_to_eu = self.energy.tokens_to_eu
-        telemetry = self._telemetry
-        fetch_allowed = self.fetch_allowed
-        issue_widths = self.issue_width
-        full_width = self.cfg.core.issue_width
-        for i in range(n):
-            ctl = dvfs[i]
-            execute[i] = ctl.tick(powers[i], dvfs_budget)
-            v_scales[i] = ctl.v_scale
-            th = throttles[i]
-            # Control plane: a pledging donor runs under a restricted
-            # budget until its tokens land (paper Section III.E.2).
-            # Restriction covers the full round trip: every snapshot
-            # still in the pipe (pledged[i] was taken before this
-            # cycle's reports entered it, so add spares[i]) including
-            # the one delivered as this cycle's grants — the donor
-            # stays restricted through the cycle its tokens are spent,
-            # so sum(effective budgets) + pipe contents never exceeds
-            # the global token budget.
-            eff_budget = t_local + grants[i] - (pledged[i] + spares[i])
-            effective_budgets[i] = eff_budget
-            # Metric plane: the AoPB budget line rises with granted
-            # tokens; a donor is simply under its local line, so the
-            # pledge does not lower the line it is measured against.
-            budget_lines[i] = local_budget + tokens_to_eu(grants[i])
-            if global_over and eff_budget <= 0 and tokens[i] > 0:
-                # The core pledged its whole allotment away (or more)
-                # and is consuming anyway: in-flight tokens must not be
-                # spendable by the donor and grantable to a receiver
-                # simultaneously.  Graded against the nominal allotment
-                # (eff_budget can't scale a deficit), so a lightly
-                # spinning donor is nudged while a deeply overdrawn one
-                # is gated.  No relax slack here: relaxation spares
-                # performance-critical work, not escrow violations.
-                overshoot = (tokens[i] - eff_budget) / t_local
-                th.set(select_technique(overshoot))
-                self.throttled_cycles += 1
-            elif (global_over and eff_budget > 0
-                    and tokens[i] > eff_budget * (1.0 + relax)):
-                overshoot = (tokens[i] - eff_budget) / eff_budget
-                th.set(select_technique(overshoot))
-                self.throttled_cycles += 1
-            else:
-                th.set(Technique.NONE)
-            th.tick()
-            if telemetry is not None:
-                telemetry.on_throttle(i, int(th.technique))
-            fetch_allowed[i] = th.fetch_allowed
-            issue_widths[i] = (
-                th.issue_width(full_width)
-                if th.technique in ISSUE_TECHNIQUES
-                else None
-            )
+        throttles = self.throttles
+        if sum(tokens) > self.global_token_budget:
+            steady = False
+            relax = self.relax
+            techniques = [Technique.NONE] * self.num_cores
+            fired = 0
+            for i, eff_budget in enumerate(self.effective_budgets):
+                # Control plane: a pledging donor runs under a restricted
+                # budget until its tokens land (paper Section III.E.2).
+                tok = tokens[i]
+                if eff_budget <= 0 and tok > 0:
+                    # The core pledged its whole allotment away (or
+                    # more) and is consuming anyway: in-flight tokens
+                    # must not be spendable by the donor and grantable
+                    # to a receiver simultaneously.  Graded against the
+                    # nominal allotment (eff_budget can't scale a
+                    # deficit), so a lightly spinning donor is nudged
+                    # while a deeply overdrawn one is gated.  No relax
+                    # slack here: relaxation spares performance-critical
+                    # work, not escrow violations.
+                    techniques[i] = select_technique((tok - eff_budget) / t_local)
+                    fired += 1
+                elif eff_budget > 0 and tok > eff_budget * (1.0 + relax):
+                    techniques[i] = select_technique(
+                        (tok - eff_budget) / eff_budget
+                    )
+                    fired += 1
+            self.throttled_cycles += fired
+            throttles.apply(techniques)
+        else:
+            throttles.release()
+        if not steady:
+            self.unsteady_cycles += 1

@@ -1,8 +1,8 @@
 """Power modelling: structure energies, tokens/PTHT, DVFS, throttles, thermal."""
 
 from .cacti import StructureEnergies, cache_access_energy, sram_access_energy
-from .dvfs import DVFSController
-from .microarch import MicroarchThrottle, Technique, select_technique
+from .dvfs import DVFSBank
+from .microarch import Technique, ThrottleBank, select_technique
 from .model import (
     CLOCK_POWER_EU,
     LEAKAGE_NOMINAL_EU,
@@ -17,9 +17,9 @@ __all__ = [
     "StructureEnergies",
     "cache_access_energy",
     "sram_access_energy",
-    "DVFSController",
-    "MicroarchThrottle",
+    "DVFSBank",
     "Technique",
+    "ThrottleBank",
     "select_technique",
     "CLOCK_POWER_EU",
     "LEAKAGE_NOMINAL_EU",

@@ -22,6 +22,7 @@ what makes the second level accurate where DVFS is not.
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import List, Optional
 
 
 class Technique(IntEnum):
@@ -34,11 +35,6 @@ class Technique(IntEnum):
     ISSUE_HALF = 4       # no fetch + half issue width
     PIPELINE_GATE = 5    # no fetch, no issue (drain/commit only)
 
-
-#: The techniques that narrow the issue width.  A module constant so the
-#: controllers' per-core actuator loops don't rebuild the tuple every
-#: cycle.
-ISSUE_TECHNIQUES = (Technique.ISSUE_HALF, Technique.PIPELINE_GATE)
 
 #: Overshoot thresholds (fractions over the local budget) selecting each
 #: technique, scanned in order.
@@ -64,46 +60,94 @@ def select_technique(overshoot_fraction: float) -> Technique:
     return Technique.PIPELINE_GATE
 
 
-class MicroarchThrottle:
-    """Per-core actuator applying the selected technique each cycle."""
+#: Fetch permission per duty phase (0-3), indexed by technique: light
+#: throttling skips phase 0, throttling fetches on even phases, gating
+#: and the harsher techniques never fetch.
+_FETCH = tuple(
+    (True, phase != 0, (phase & 1) == 0, False, False, False)
+    for phase in range(4)
+)
 
-    __slots__ = ("technique", "_phase", "engaged_cycles", "by_technique")
 
-    def __init__(self) -> None:
-        self.technique = Technique.NONE
-        self._phase = 0
-        self.engaged_cycles = 0
-        self.by_technique = [0] * (max(Technique) + 1)
+class ThrottleBank:
+    """Per-core actuators applying each core's technique every cycle.
 
-    def set(self, technique: Technique) -> None:
-        self.technique = technique
+    Struct of arrays: one list per per-core field.  Every core's
+    actuator ticks once per cycle, so one duty ``phase`` (0-3) serves
+    them all.  ``fetch_allowed`` and ``issue_width`` are the
+    controller's directive lists, written in place (``None`` = full
+    issue width).
+    """
 
-    def tick(self) -> None:
-        """Advance internal state; call once per executed cycle."""
-        self._phase = (self._phase + 1) & 3
-        if self.technique != Technique.NONE:
-            self.engaged_cycles += 1
-            self.by_technique[self.technique] += 1
+    __slots__ = (
+        "num_cores", "technique", "phase", "engaged", "engaged_cycles",
+        "by_technique", "fetch_allowed", "issue_width",
+        "_issue", "_none", "_open", "_full", "_telemetry",
+    )
 
-    def advance(self, cycles: int) -> None:
-        """``cycles`` deferred ticks while the technique is ``NONE``."""
-        self._phase = (self._phase + cycles) & 3
+    def __init__(
+        self,
+        num_cores: int,
+        full_width: int,
+        fetch_allowed: Optional[List[bool]] = None,
+        issue_width: Optional[List[Optional[int]]] = None,
+    ) -> None:
+        n = num_cores
+        self.num_cores = n
+        self.technique: List[int] = [Technique.NONE] * n
+        self.phase = 0
+        #: Cores whose technique is not NONE.
+        self.engaged = 0
+        self.engaged_cycles = [0] * n
+        self.by_technique = [[0] * (max(Technique) + 1) for _ in range(n)]
+        self.fetch_allowed = (
+            fetch_allowed if fetch_allowed is not None else [True] * n
+        )
+        self.issue_width = (
+            issue_width if issue_width is not None else [None] * n
+        )
+        #: Issue-width directive per technique.
+        self._issue = (None, None, None, None, max(1, full_width // 2), 0)
+        self._none = [Technique.NONE] * n
+        self._open = [True] * n
+        self._full = [None] * n
+        #: Optional :class:`repro.telemetry.TelemetrySession` hook.
+        self._telemetry = None
 
-    @property
-    def fetch_allowed(self) -> bool:
-        t = self.technique
-        if t == Technique.NONE:
-            return True
-        if t == Technique.FETCH_LIGHT:
-            return self._phase != 0
-        if t == Technique.FETCH_THROTTLE:
-            return (self._phase & 1) == 0
-        return False  # FETCH_GATE, ISSUE_HALF, PIPELINE_GATE
+    def release(self) -> None:
+        """One cycle with every core's technique ``NONE``."""
+        self.phase = (self.phase + 1) & 3
+        if self.engaged:
+            self.technique[:] = self._none
+            self.issue_width[:] = self._full
+            self.engaged = 0
+        self.fetch_allowed[:] = self._open
+        telemetry = self._telemetry
+        if telemetry is not None:
+            for i in range(self.num_cores):
+                telemetry.on_throttle(i, 0)
 
-    def issue_width(self, full_width: int) -> int:
-        t = self.technique
-        if t == Technique.ISSUE_HALF:
-            return max(1, full_width // 2)
-        if t == Technique.PIPELINE_GATE:
-            return 0
-        return full_width
+    def apply(self, techniques: List[int]) -> None:
+        """One cycle with core ``i`` under ``techniques[i]``.
+
+        The bank keeps the list as its ``technique`` array.
+        """
+        self.phase = phase = (self.phase + 1) & 3
+        fetch = _FETCH[phase]
+        issue = self._issue
+        fetch_allowed = self.fetch_allowed
+        issue_width = self.issue_width
+        engaged = 0
+        for i, t in enumerate(techniques):
+            if t:
+                engaged += 1
+                self.engaged_cycles[i] += 1
+                self.by_technique[i][t] += 1
+            fetch_allowed[i] = fetch[t]
+            issue_width[i] = issue[t]
+        self.technique = techniques
+        self.engaged = engaged
+        telemetry = self._telemetry
+        if telemetry is not None:
+            for i, t in enumerate(techniques):
+                telemetry.on_throttle(i, int(t))

@@ -36,22 +36,20 @@ Per core the engine runs a four-mode state machine:
   or release is already pending.  At exit the full state is
   reconstructed by shifting the certified snapshots forward in time.
 
-The controller plane is mirrored the same way: steady-state cycles of
-the known controllers (``none``/``dvfs``/``dfs``/``2level``/``ptb``)
-are computed from struct-of-arrays mirrors of the DVFS credit state,
-with the real ``end_cycle`` re-entered at window boundaries, DVFS
-transitions, throttle engagement or token/power overshoot.  Unknown
-controller subclasses run their real ``begin_cycle``/``end_cycle``
-every cycle.  See DESIGN.md section 10 for the legality arguments.
+Both engines drive the budget controller the same way: its
+``end_cycle`` runs every cycle (its own steady path keeps that cheap),
+and the engine only skips hooks a controller does not override.  Cached
+per-core powers are re-read when the controller's ``v_epoch`` moves or
+the thermal model steps.  See DESIGN.md section 10 for the legality
+arguments.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Optional
 
-from ..budget.controller import BudgetController, LocalBudgetController
-from ..budget.ptb import PTBController
+from ..budget.controller import BudgetController
 from ..core.pipeline import _ACQ_SPIN, _COMPLETE, _NO_SYNC, _SPIN_PC
 from ..power.model import CycleEvents
 
@@ -217,90 +215,14 @@ class FastEngine:
         self.states = [_CoreState() for _ in range(n)]
         #: Cold-path diagnostics (all bumped at mode entry/exit, never in
         #: the per-cycle hot loop): how much work each layer absorbed.
+        #: ``controller_fallbacks`` is the run's count of the controller's
+        #: ``unsteady_cycles``, cycles its ``end_cycle`` left its steady
+        #: path.
         self.stats = {
             "skip_entries": 0, "skip_cycles": 0,
             "replay_entries": 0, "replay_cycles": 0,
             "cert_failures": 0, "controller_fallbacks": 0,
         }
-
-        # Controller twin kind: exact types only — any subclass with an
-        # overridden hook runs its real begin/end_cycle every cycle.
-        ctrl = sim.controller
-        tc = type(ctrl)
-        if tc is BudgetController:
-            self._ckind = 0          # no-op controller
-        elif tc is PTBController:
-            self._ckind = 2
-        elif tc is LocalBudgetController:
-            self._ckind = 1          # dvfs / dfs / 2level
-        else:
-            self._ckind = 3          # generic: real hooks every cycle
-        self._we: List[float] = [0.0] * n
-        self._fcred: List[float] = [0.0] * n
-        self._fscale: List[float] = [1.0] * n
-        self._wl = 0
-        self._win_e = 0.0
-        self._steady = True
-        self._all_none = True
-        self._th_elapsed = 0
-        if self._ckind in (1, 2):
-            self._resync_twin()
-
-    # ------------------------------------------------------------------ #
-    # controller twin                                                    #
-    # ------------------------------------------------------------------ #
-
-    def _resync_twin(self) -> None:
-        """Re-read every controller mirror after a real end_cycle."""
-        c = self.sim.controller
-        dvfs = c._dvfs
-        wl = c._win_left
-        for ctl in dvfs:
-            if ctl._window_left != wl:
-                # The per-core DVFS windows and the controller window are
-                # initialised to the same length and decrement together;
-                # if something desynchronised them the mirrors cannot
-                # represent the state — degrade to the generic path.
-                self._ckind = 3
-                return
-        self._wl = wl
-        self._win_e = c._win_energy
-        we = self._we
-        fcred = self._fcred
-        fscale = self._fscale
-        steady = True
-        for i, ctl in enumerate(dvfs):
-            we[i] = ctl._window_energy
-            fcred[i] = ctl.f_credit
-            fscale[i] = ctl.f_scale
-            if ctl._transition_left:
-                steady = False
-        self._steady = steady
-        throttles = c._throttles
-        self._all_none = throttles is None or all(
-            th.technique == 0 for th in throttles
-        )
-        self._th_elapsed = 0
-
-    def _twin_writeback(self) -> None:
-        """Flush the controller mirrors back into the real objects."""
-        c = self.sim.controller
-        wl = self._wl
-        c._win_left = wl
-        c._win_energy = self._win_e
-        we = self._we
-        fcred = self._fcred
-        for i, ctl in enumerate(c._dvfs):
-            ctl._window_left = wl
-            ctl._window_energy = we[i]
-            ctl.f_credit = fcred[i]
-        throttles = c._throttles
-        elapsed = self._th_elapsed
-        if throttles is not None and elapsed:
-            # Deferred MicroarchThrottle ticks (the technique is NONE).
-            for th in throttles:
-                th.advance(elapsed)
-        self._th_elapsed = 0
 
     # ------------------------------------------------------------------ #
     # SKIP: timed quiescence                                             #
@@ -715,25 +637,20 @@ class FastEngine:
         scratch = self._scratch
         tacc = thermal._energy_acc
         t_interval = thermal.interval
-        begin_cycle = controller.begin_cycle
-        end_cycle = controller.end_cycle
-
-        ckind = self._ckind
-        we = self._we
-        fcred = self._fcred
-        fscale = self._fscale
-        if ckind == 2:
-            t_local = controller.token_budget
-            near_floor = int(t_local * 0.85)
-            gtb = controller.global_token_budget
-            token_unit = energy.token_unit
-            local_b = controller.local_budget
-            balancer = controller.balancer
-            eff_budgets = controller.effective_budgets
-        has_throttles = (
-            ckind in (1, 2) and controller._throttles is not None
+        # Hooks the controller does not override are no-ops: skip them.
+        ctype = type(controller)
+        begin_cycle = (
+            controller.begin_cycle
+            if ctype.begin_cycle is not BudgetController.begin_cycle
+            else None
         )
-        global_budget = controller.global_budget
+        end_cycle = (
+            controller.end_cycle
+            if ctype.end_cycle is not BudgetController.end_cycle
+            else None
+        )
+        v_epoch = controller.v_epoch
+        unsteady_at_start = controller.unsteady_cycles
 
         done_total = 0
         for i in range(n):
@@ -744,14 +661,14 @@ class FastEngine:
                 done_total += 1
 
         # Power epoch: bumped whenever v_scale or temps may have changed
-        # (a real end_cycle ran, or the thermal model stepped).  While it
-        # is unchanged every cached per-cycle power stays valid without
-        # re-reading v/t.
+        # (the controller's v_epoch moved, or the thermal model stepped).
+        # While it is unchanged every cached per-cycle power stays valid
+        # without re-reading v/t.
         pe = 0
 
         cycle = 0
         while cycle < max_cycles and done_total < n:
-            if ckind == 3:
+            if begin_cycle is not None:
                 begin_cycle(cycle)
             total = 0.0
             for i in range(n):
@@ -867,7 +784,7 @@ class FastEngine:
                 powers[i] = p
                 ps = smoothed[i] * beta + p * alpha
                 smoothed[i] = ps
-                if ckind >= 2:
+                if end_cycle is not None:
                     over_floor = ps - unctrl
                     tokens[i] = (
                         int(over_floor * inv_token_unit)
@@ -892,83 +809,11 @@ class FastEngine:
                 thermal._step()
                 pe += 1
 
-            if ckind == 0:
-                pass
-            elif ckind == 3:
+            if end_cycle is not None:
                 end_cycle(cycle, tokens, smoothed, sync_domain)
-                pe += 1
-            else:
-                fallback = (
-                    self._wl <= 1 or not self._steady or not self._all_none
-                )
-                if not fallback:
-                    if ckind == 2:
-                        fallback = sum(tokens) > gtb
-                    elif has_throttles:
-                        fallback = total_s > global_budget
-                if fallback:
-                    self.stats["controller_fallbacks"] += 1
-                    self._twin_writeback()
-                    end_cycle(cycle, tokens, smoothed, sync_domain)
+                if controller.v_epoch != v_epoch:
+                    v_epoch = controller.v_epoch
                     pe += 1
-                    self._resync_twin()
-                    ckind = self._ckind  # may degrade to generic
-                else:
-                    self._win_e += total_s
-                    if ckind == 2:
-                        pledged = controller._pledged_buf
-                        balancer.copy_pending(pledged)
-                        zeros = controller._zeros
-                        spares = controller._spares_buf
-                        spares[:] = zeros
-                        overs = controller._overs_buf
-                        overs[:] = zeros
-                        grants_old = controller._grants
-                        for i in range(n):
-                            tok = tokens[i]
-                            if tok >= near_floor:
-                                usable = t_local - pledged[i] + grants_old[i]
-                                request = tok - min(int(usable), near_floor)
-                                if request > 0:
-                                    overs[i] = int(request)
-                            elif tok < t_local:
-                                spare = int(t_local - tok)
-                                if spare > 0:
-                                    spares[i] = spare
-                        policy = controller._select_policy(sync_domain)
-                        priority = sync_domain.contended_lock_holders()
-                        grants = controller._grants = balancer.cycle(
-                            spares, overs, policy, priority
-                        )
-                        controller._last_spares = spares
-                        controller._last_overs = overs
-                        for i in range(n):
-                            fc = fcred[i] + fscale[i]
-                            if fc >= 1.0:
-                                fc -= 1.0
-                                execute[i] = True
-                            else:
-                                execute[i] = False
-                            fcred[i] = fc
-                            we[i] += smoothed[i]
-                            g = grants[i]
-                            eff_budgets[i] = (
-                                t_local + g - (pledged[i] + spares[i])
-                            )
-                            budget_lines[i] = local_b + g * token_unit
-                    else:
-                        for i in range(n):
-                            fc = fcred[i] + fscale[i]
-                            if fc >= 1.0:
-                                fc -= 1.0
-                                execute[i] = True
-                            else:
-                                execute[i] = False
-                            fcred[i] = fc
-                            we[i] += smoothed[i]
-                    if has_throttles:
-                        self._th_elapsed += 1
-                    self._wl -= 1
 
             if trace is not None:
                 trace.append(total)
@@ -983,8 +828,9 @@ class FastEngine:
                 self._exit_skip(st, i, cycle)
             elif st.mode == _REPLAY:
                 self._exit_replay(st, i, cycle)
-        if ckind in (1, 2):
-            self._twin_writeback()
+        self.stats["controller_fallbacks"] = (
+            controller.unsteady_cycles - unsteady_at_start
+        )
 
         return sim._finish(
             max_cycles, cycle, done_total, total_energy, aopb, aopb_global,

@@ -97,8 +97,9 @@ class SyncDomain:
         self.barriers: Dict[int, Barrier] = {}
         #: Mutation counter: bumped by every state change that can alter
         #: the introspection views below (``cores_waiting_on_*``,
-        #: ``contended_lock_holders``).  The fast engine caches its
-        #: per-cycle policy/priority selection against this value.
+        #: ``contended_lock_holders``, ``spinning_cores``).
+        #: ``PTBController.end_cycle`` recomputes its distribution policy
+        #: and priority cores only when it moves.
         self.version = 0
         #: Optional :class:`repro.telemetry.TelemetrySession` hook.
         self._telemetry = None

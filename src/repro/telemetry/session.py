@@ -125,13 +125,13 @@ class TelemetrySession:
                 "tokens.instr_cost", TOKEN_BUCKETS, core=core.core_id
             )
         controller = sim.controller
-        controller._telemetry = self
-        balancer = getattr(controller, "balancer", None)
-        if balancer is not None:
-            balancer._telemetry = self
-        for i, ctl in enumerate(getattr(controller, "_dvfs", None) or ()):
-            ctl._telemetry = self
-            ctl._core_id = i
+        for probed in (
+            getattr(controller, "balancer", None),
+            controller.dvfs,
+            controller.throttles,
+        ):
+            if probed is not None:
+                probed._telemetry = self
 
     # ------------------------------------------------------------------ #
     # per-cycle hooks (called by the simulator loop)                     #

@@ -6,8 +6,10 @@ from repro.budget import make_controller
 from repro.budget.controller import BudgetController, LocalBudgetController
 from repro.budget.ptb import PTBController
 from repro.config import CMPConfig
+from repro.noc.mesh import Mesh2D
 from repro.power.microarch import Technique
 from repro.power.model import EnergyModel
+from repro.sync.primitives import SyncDomain
 
 
 @pytest.fixture
@@ -119,7 +121,7 @@ class TestNaiveTrigger:
         powers = [local * 2.0] * 4
         for cyc in range(2 * cfg.dvfs.window_cycles + 1):
             ctl.end_cycle(cyc, [0] * 4, powers)
-        assert ctl._dvfs[0].target_mode > 0
+        assert ctl.target_mode_of(0) > 0
 
 
 class TestPTBController:
@@ -210,6 +212,34 @@ class TestPTBController:
         assert ctl._select_policy(FakeSync(3, 0)) == "toone"
         assert ctl._select_policy(FakeSync(0, 3)) == "toall"
         assert ctl.policy_switches >= 1
+
+    def test_priority_follows_sync_version(self, env):
+        """Contended-lock holders are re-read whenever the sync domain's
+        ``version`` moves: ToOne serves a priority core even when no
+        core is over its allotment."""
+        cfg, energy, budget = env
+        ctl = PTBController(cfg, energy, budget, policy="toone")
+        sync = SyncDomain(4, Mesh2D(4, cfg.net))
+        spinning = [10] * 4  # every core below the floor: spares only
+        powers = [1.0] * 4
+        latency = ctl.balancer.latency
+        cyc = 0
+
+        def run_round():
+            nonlocal cyc
+            for _ in range(latency + 1):
+                ctl.end_cycle(cyc, spinning, powers, sync)
+                cyc += 1
+
+        run_round()
+        assert ctl._grants == [0, 0, 0, 0]
+        sync.try_acquire(0, core=2, now=cyc)
+        sync.try_acquire(0, core=3, now=cyc)  # core 2 now gates core 3
+        run_round()
+        assert ctl._grants == [0, 0, 1, 0]
+        sync.release(0, core=2, now=cyc)
+        run_round()
+        assert ctl._grants == [0, 0, 0, 0]
 
     def test_static_policy_ignores_sync_state(self, env):
         cfg, energy, budget = env

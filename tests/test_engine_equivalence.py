@@ -19,8 +19,9 @@ differently:
   spinning, so the engine mostly runs real cycles and the SoA
   accounting plane is what's under test.
 
-Both run under every technique (and every PTB policy), plus a truncated
-run that stops mid-spin — the end-of-run flush must materialise
+Both run under every technique (and every PTB policy), at the default
+budget and at a quarter of peak power, plus a truncated run that stops
+mid-spin — the end-of-run flush must materialise
 fast-forwarded cores exactly as the reference left them.
 """
 
@@ -89,11 +90,13 @@ def compute_heavy(n: int) -> ParallelProgram:
     return ParallelProgram(name="compute-heavy", threads=tuple(threads))
 
 
-def _digest(program, technique, policy, engine, max_cycles=MAX_CYCLES):
+def _digest(program, technique, policy, engine, max_cycles=MAX_CYCLES,
+            budget_fraction=0.5):
     result = run_simulation(
         CMPConfig(num_cores=CORES),
         program,
         technique=technique,
+        budget_fraction=budget_fraction,
         ptb_policy=policy,
         max_cycles=max_cycles,
         engine=engine,
@@ -115,6 +118,24 @@ def test_fast_engine_byte_identical(make_program, technique, policy):
     assert fast == ref
 
 
+@pytest.mark.parametrize("technique,policy", COMBOS,
+                         ids=[t if p is None else f"{t}-{p}"
+                              for t, p in COMBOS])
+@pytest.mark.parametrize("make_program", [spin_heavy, compute_heavy],
+                         ids=["spin_heavy", "compute_heavy"])
+def test_fast_engine_byte_identical_low_budget(make_program, technique,
+                                               policy):
+    """At a quarter of peak the controllers leave their steady path:
+    compute_heavy makes 14-20 DVFS mode transitions per run, and 2level
+    and PTB throttle for hundreds to thousands of cycles."""
+    ref, ref_result = _digest(make_program(CORES), technique, policy,
+                              "reference", budget_fraction=0.25)
+    fast, _ = _digest(make_program(CORES), technique, policy, "fast",
+                      budget_fraction=0.25)
+    assert ref_result.completed and not ref_result.truncated
+    assert fast == ref
+
+
 def test_fast_engine_byte_identical_truncated():
     """A run cut off mid-spin: the flush path must match the reference."""
     with pytest.warns(RuntimeWarning, match="truncated"):
@@ -125,6 +146,36 @@ def test_fast_engine_byte_identical_truncated():
                                     "fast", max_cycles=900)
     assert ref_result.truncated and fast_result.truncated
     assert fast == ref
+
+
+def test_controller_fallbacks_count_unsteady_cycles():
+    """``FastEngine.stats["controller_fallbacks"]`` is the controller's
+    count of cycles its ``end_cycle`` spent off the steady path, the
+    same on both engines."""
+    from repro.sim.engine import FastEngine
+
+    counts = {}
+    for engine in ("reference", "fast"):
+        sim = CMPSimulator(
+            CMPConfig(num_cores=CORES).with_engine(engine),
+            compute_heavy(CORES), technique="2level", budget_fraction=0.25,
+        )
+        if engine == "fast":
+            fast = FastEngine(sim)
+            result = fast.run(MAX_CYCLES)
+            assert fast.stats["controller_fallbacks"] == (
+                sim.controller.unsteady_cycles
+            )
+        else:
+            sim.run(MAX_CYCLES)
+        counts[engine] = sim.controller.unsteady_cycles
+    assert counts["fast"] == counts["reference"]
+    # Every closing DVFS window leaves the steady path, and so does
+    # every cycle that engages a throttle on some core.
+    windows = result.cycles // sim.cfg.dvfs.window_cycles
+    engaged = -(-result.throttled_cycles // CORES)
+    assert counts["fast"] >= max(windows, engaged) > 0
+    assert counts["fast"] < result.cycles
 
 
 def test_telemetry_run_takes_reference_path(monkeypatch):

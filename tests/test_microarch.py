@@ -3,8 +3,8 @@
 import pytest
 
 from repro.power.microarch import (
-    MicroarchThrottle,
     Technique,
+    ThrottleBank,
     select_technique,
 )
 
@@ -34,64 +34,103 @@ class TestSelection:
         assert levels == sorted(levels)
 
 
+def one_core(full_width=4):
+    return ThrottleBank(1, full_width)
+
+
 class TestThrottleActuation:
     def test_none_always_fetches(self):
-        th = MicroarchThrottle()
+        bank = one_core()
         allowed = []
         for _ in range(8):
-            th.tick()
-            allowed.append(th.fetch_allowed)
+            bank.release()
+            allowed.append(bank.fetch_allowed[0])
         assert all(allowed)
 
     def test_fetch_light_skips_quarter(self):
-        th = MicroarchThrottle()
-        th.set(Technique.FETCH_LIGHT)
+        bank = one_core()
         allowed = []
         for _ in range(16):
-            th.tick()
-            allowed.append(th.fetch_allowed)
+            bank.apply([Technique.FETCH_LIGHT])
+            allowed.append(bank.fetch_allowed[0])
         assert allowed.count(False) == 4
 
     def test_fetch_throttle_alternates(self):
-        th = MicroarchThrottle()
-        th.set(Technique.FETCH_THROTTLE)
+        bank = one_core()
         allowed = []
         for _ in range(16):
-            th.tick()
-            allowed.append(th.fetch_allowed)
+            bank.apply([Technique.FETCH_THROTTLE])
+            allowed.append(bank.fetch_allowed[0])
         assert allowed.count(True) == 8
 
     def test_fetch_gate_blocks_all(self):
-        th = MicroarchThrottle()
-        th.set(Technique.FETCH_GATE)
+        bank = one_core()
         for _ in range(8):
-            th.tick()
-            assert not th.fetch_allowed
+            bank.apply([Technique.FETCH_GATE])
+            assert not bank.fetch_allowed[0]
 
     def test_issue_half_width(self):
-        th = MicroarchThrottle()
-        th.set(Technique.ISSUE_HALF)
-        assert th.issue_width(4) == 2
-        assert th.issue_width(1) == 1  # never zero
+        bank = one_core(full_width=4)
+        bank.apply([Technique.ISSUE_HALF])
+        assert bank.issue_width[0] == 2
+        narrow = one_core(full_width=1)
+        narrow.apply([Technique.ISSUE_HALF])
+        assert narrow.issue_width[0] == 1  # never zero
 
     def test_pipeline_gate_zero_issue(self):
-        th = MicroarchThrottle()
-        th.set(Technique.PIPELINE_GATE)
-        assert th.issue_width(4) == 0
-        assert not th.fetch_allowed
+        bank = one_core()
+        bank.apply([Technique.PIPELINE_GATE])
+        assert bank.issue_width[0] == 0
+        assert not bank.fetch_allowed[0]
 
     def test_full_width_when_not_issue_limited(self):
-        th = MicroarchThrottle()
-        th.set(Technique.FETCH_GATE)
-        assert th.issue_width(4) == 4
+        bank = one_core()
+        bank.apply([Technique.FETCH_GATE])
+        assert bank.issue_width[0] is None  # None = full width
 
     def test_engagement_statistics(self):
-        th = MicroarchThrottle()
-        th.set(Technique.FETCH_GATE)
+        bank = one_core()
         for _ in range(5):
-            th.tick()
-        th.set(Technique.NONE)
+            bank.apply([Technique.FETCH_GATE])
         for _ in range(5):
-            th.tick()
-        assert th.engaged_cycles == 5
-        assert th.by_technique[Technique.FETCH_GATE] == 5
+            bank.release()
+        assert bank.engaged_cycles[0] == 5
+        assert bank.by_technique[0][Technique.FETCH_GATE] == 5
+
+
+class TestBank:
+    def test_release_restores_every_directive(self):
+        fetch = [True, True, True]
+        issue = [None, None, None]
+        bank = ThrottleBank(3, 4, fetch, issue)
+        bank.apply([Technique.NONE, Technique.ISSUE_HALF,
+                    Technique.PIPELINE_GATE])
+        assert bank.engaged == 2
+        assert fetch == [True, False, False]
+        assert issue == [None, 2, 0]
+        fetch[0] = False  # an extension gating a core after the bank
+        bank.release()
+        assert bank.fetch_allowed is fetch and bank.issue_width is issue
+        assert fetch == [True, True, True]
+        assert issue == [None, None, None]
+        assert bank.technique == [Technique.NONE] * 3
+        assert bank.engaged == 0
+
+    def test_one_duty_phase_for_every_core(self):
+        bank = ThrottleBank(2, 4)
+        seen = []
+        for _ in range(4):
+            bank.apply([Technique.FETCH_LIGHT, Technique.FETCH_THROTTLE])
+            seen.append((bank.phase, tuple(bank.fetch_allowed)))
+        assert seen == [
+            (1, (True, False)), (2, (True, True)),
+            (3, (True, False)), (0, (False, True)),
+        ]
+
+    @pytest.mark.parametrize("technique", list(Technique))
+    def test_apply_counts_engaged_cores(self, technique):
+        bank = ThrottleBank(4, 4)
+        bank.apply([technique, Technique.NONE, technique, Technique.NONE])
+        expected = 0 if technique == Technique.NONE else 2
+        assert bank.engaged == expected
+        assert sum(bank.engaged_cycles) == expected

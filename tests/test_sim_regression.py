@@ -34,6 +34,10 @@ reported one cycle too many): the reference behaviour change moved
 the PTB runs' ``SEED_CYCLES`` from 1995 to 1994 and shifted every
 accumulator by one gated cycle.
 
+``LOW_BUDGET_PINS`` runs the same program at ``budget_fraction=0.25``
+under every controller: at the default budget no DVFS mode ever
+changes, so only these pins cover mode transitions on both engines.
+
 Both engines must reproduce the hashes bit-for-bit — the ``fast``
 parametrization is the regression anchor for ``repro.sim.engine``
 (tests/test_engine_equivalence.py covers the broader matrix).
@@ -100,6 +104,79 @@ HIERARCHY_INIT_HASH = (
 HIERARCHY_RUN_HASH = (
     "3617d7d8d359ac72f4a5241230b3808044a9a0a775c57e8977ca3e91f90acac7"
 )
+
+
+# Runs at budget_fraction=0.25, recorded before the DVFS and throttle
+# state moved into the controllers' banks.  At the default 0.5 no run
+# above changes a DVFS mode; here every run makes several mode
+# transitions and 2level and PTB throttle for 1,540-1,698 cycles, so
+# these pin the controllers' slow paths.  Per case: cycles, result hash,
+# core-state digests, hierarchy digest after the run, and each core's
+# DVFS transition count.
+_PTB_LOW_CORE_0 = (
+    "2b2c496fc70259cc254fc4661287d42420e459021a37f94a50e24cdd4cad9295"
+)
+_PTB_LOW_CORE_1 = (
+    "6678ccb89a338e288e95dddcf3708bb6bdba79a096461aa5f27e9806cfad1e7e"
+)
+_PTB_LOW_HIERARCHY = (
+    "169d8fba19ab0fae86d6ca4d4e084b90591952f6ce926fa1ccdc2d1ee2be7b81"
+)
+LOW_BUDGET_PINS = {
+    ("dvfs", None): (
+        2009,
+        "c7f2ff0f34f55bb76b8e0fdd2e7b8b20e6ca07e2a78ca9e43981a4011cdbea14",
+        ("8fde1830f60e157b1c6af5d61eb0b5433b30853256479fd00f8017848a123aa8",
+         "5a554bd5a599a9dbaab6fcfee4409d2eaea03f5aa203e8fbdb7be9bd402be459"),
+        "d9439ee9073289a04d9ba4d10106206911354921062a42f0c9523bdc4c679bbb",
+        [5, 4],
+    ),
+    ("dfs", None): (
+        2043,
+        "f7ce8cd55c2781d4d7cf29630abd0418d46985c67c33be572fef37ba569ba121",
+        ("37218b3f7abbd3273087a6107e01f1af3ec99e1f19910480a3e78f3e2db97af0",
+         "cb28af9e0d4b61fbe8830e4dcb4bd619d8aea675f3f8f507aca3f716676419ed"),
+        "4b0aa4b593eb339d72757dda476276b520a32cc1660d5e10c3369df02415bb63",
+        [4, 4],
+    ),
+    ("2level", None): (
+        2267,
+        "23f3dc520d14516f330f9df274eeed2939c27557913e246ae7c5b4e3d2c9f9e8",
+        ("2fef3be25b384fa7c84b77e7e48c72f0f45036a99140bd57db5b3552a6897d7b",
+         "ee2d046dd3c8d5cbecc44f7dd8880f3bdd8223e3ff3bcdd4a0323cda8bb9bf7c"),
+        "2fd694bdbe7e658ced091ba6ef151e863a065d58fe2af0032700bf0a0ccea699",
+        [3, 4],
+    ),
+    ("ptb", "toall"): (
+        2406,
+        "a2ad28efb7b69aafd8bcbaa6d188f653f85849f499ecf6ff940d1cecfc59e9b6",
+        (_PTB_LOW_CORE_0, _PTB_LOW_CORE_1),
+        _PTB_LOW_HIERARCHY,
+        [2, 2],
+    ),
+    ("ptb", "toone"): (
+        2406,
+        "beca14618f905dc019bb8e485007e73998026db0259a73319fb60e133e8ec697",
+        (_PTB_LOW_CORE_0,
+         "939779c51e4b5bf7b0525c8a1a54e7700a25583543ba9b8870029e2a4b660469"),
+        _PTB_LOW_HIERARCHY,
+        [2, 2],
+    ),
+    ("ptb", "dynamic"): (
+        2406,
+        "407a7975e67c29f50facb02569d9d68a2f91ec569aec336b90cba27f1073818b",
+        (_PTB_LOW_CORE_0, _PTB_LOW_CORE_1),
+        _PTB_LOW_HIERARCHY,
+        [2, 2],
+    ),
+    ("ptb-spingate", None): (
+        2406,
+        "874489fadcd87d327ba1e17c12f532bfa15c00a00bee6f0dd68272a89efd298c",
+        (_PTB_LOW_CORE_0, _PTB_LOW_CORE_1),
+        _PTB_LOW_HIERARCHY,
+        [2, 2],
+    ),
+}
 
 
 def _make_program(num_threads: int, work: int) -> ParallelProgram:
@@ -194,6 +271,35 @@ def test_simresult_pickle_identical_to_seed(policy: str, engine: str) -> None:
     assert hashlib.sha256(blob).hexdigest() == SEED_HASHES[policy]
     digests = tuple(core_state_digest(core) for core in sim.cores)
     assert digests == CORE_STATE_HASHES[policy]
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize(
+    "technique,policy", sorted(LOW_BUDGET_PINS, key=str),
+    ids=[t if p is None else f"{t}-{p}"
+         for t, p in sorted(LOW_BUDGET_PINS, key=str)],
+)
+def test_low_budget_pickle_identical_to_seed(
+    technique: str, policy, engine: str
+) -> None:
+    cycles, result_hash, core_states, hierarchy, transitions = (
+        LOW_BUDGET_PINS[(technique, policy)]
+    )
+    sim = CMPSimulator(
+        CMPConfig(num_cores=2).with_engine(engine),
+        _make_program(2, 600),
+        technique=technique,
+        ptb_policy=policy,
+        budget_fraction=0.25,
+    )
+    assert hierarchy_digest(sim.hierarchy) == HIERARCHY_INIT_HASH
+    result = sim.run(40_000)
+    assert hierarchy_digest(sim.hierarchy) == hierarchy
+    assert result.cycles == cycles
+    blob = pickle.dumps(result, protocol=4)
+    assert hashlib.sha256(blob).hexdigest() == result_hash
+    assert tuple(core_state_digest(core) for core in sim.cores) == core_states
+    assert sim.controller.dvfs.transitions == transitions
 
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])

@@ -18,6 +18,9 @@ def env():
 
 
 class FakeSync:
+    #: Never mutated after construction, so its version never moves.
+    version = 0
+
     def __init__(self, spinning):
         self._s = set(spinning)
 

@@ -1,6 +1,8 @@
 """Tests for spinlocks, barriers and the sync domain."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NetworkConfig
 from repro.noc.mesh import Mesh2D
@@ -150,3 +152,68 @@ class TestIntrospection:
     def test_validation(self):
         with pytest.raises(ValueError):
             SyncDomain(0, Mesh2D(4, NetworkConfig()))
+
+
+# Operations on a 4-core domain with two locks and two barriers: (verb,
+# object id, core, time step).  A release by a non-owner is skipped (it
+# raises, and the simulator never issues one).
+_OPS = st.tuples(
+    st.sampled_from(["acquire", "granted", "release", "arrive", "released"]),
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.integers(0, 12),
+)
+
+
+def _views(domain):
+    return (
+        domain.contended_lock_holders(),
+        domain.cores_waiting_on_locks(),
+        domain.cores_waiting_on_barriers(),
+        domain.spinning_cores(),
+    )
+
+
+class TestVersion:
+    """``version`` moves whenever an introspection view can change.
+
+    ``PTBController.end_cycle`` recomputes its policy and priority cores
+    only when it moves, so a mutation that changed a view without a bump
+    would leave PTB acting on stale sync state.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_OPS, max_size=80))
+    def test_views_never_change_without_a_bump(self, ops):
+        domain = SyncDomain(4, Mesh2D(4, NetworkConfig()))
+        now = 0
+        for verb, obj, core, step in ops:
+            now += step
+            before = _views(domain)
+            version = domain.version
+            if verb == "acquire":
+                domain.try_acquire(obj, core, now)
+            elif verb == "granted":
+                domain.lock_granted(obj, core, now)
+            elif verb == "release":
+                if domain.lock(obj).owner != core:
+                    continue
+                domain.release(obj, core, now)
+            elif verb == "arrive":
+                domain.barrier_arrive(obj, core, now)
+            else:
+                domain.barrier_released(
+                    obj, core, domain.barrier(obj).generation - 1, now
+                )
+            if _views(domain) != before:
+                assert domain.version != version, (verb, obj, core)
+
+    def test_polls_leave_version_alone(self, domain):
+        domain.try_acquire(0, 1, 0)
+        domain.try_acquire(0, 2, 1)
+        domain.release(0, 1, 2)
+        version = domain.version
+        domain.lock_granted(0, 2, 3)  # grant still in flight
+        domain.barrier_released(0, 1, 0, 4)
+        domain.contended_lock_holders()
+        assert domain.version == version

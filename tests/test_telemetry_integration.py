@@ -87,6 +87,33 @@ class TestObservationOnly:
         assert pickle.dumps(runs[False]) == pickle.dumps(runs[True])
 
 
+class TestControlPlaneEvents:
+    """The actuator banks report to the session: a run at a quarter of
+    peak power changes DVFS modes and engages throttles."""
+
+    def test_low_budget_2level_emits_dvfs_and_throttle_events(self):
+        prog = make_program(2, work=600, lock_ops=1)
+        runs = {}
+        for on in (False, True):
+            cfg = CMPConfig(num_cores=2, telemetry=on)
+            sim = CMPSimulator(cfg, prog, technique="2level",
+                               budget_fraction=0.25)
+            runs[on] = sim.run(40_000)
+        assert pickle.dumps(runs[False]) == pickle.dumps(runs[True])
+        session = sim.telemetry
+        counts = session.bus.counts
+        transitions = sim.controller.dvfs.transitions
+        assert counts[EventKind.DVFS_MODE] == sum(transitions) > 0
+        assert counts[EventKind.THROTTLE] > 0
+        m = session.metrics.to_dict()
+        assert m["dvfs.transitions"] == {
+            f"core{i}": float(t) for i, t in enumerate(transitions)
+        }
+        assert sum(m["throttle.cycles"].values()) == runs[True].throttled_cycles
+        first = next(session.bus.events(EventKind.DVFS_MODE))
+        assert first.detail == f"0->{int(first.value)}"
+
+
 class TestAggregateInvariants:
     def test_grant_sum_matches_balancer(self, traced):
         sim, _ = traced
