@@ -473,15 +473,18 @@ class ExperimentRunner:
         return (Recipe(*recipe), self.scale, self.max_cycles, self.seed,
                 cache_dir, self.engine)
 
-    def lookup(self, recipe: Recipe) -> Optional[SimResult]:
+    def lookup(self, recipe: Recipe,
+               key: Optional[tuple] = None) -> Optional[SimResult]:
         """Memory/disk probe only — never simulates.
 
         A memo hit is counted; a disk hit is pulled into the in-memory
         memo (and counted) so a later :meth:`submit` is free; a miss
         returns ``None`` without touching the stats, so probing is safe
-        to do eagerly.
+        to do eagerly.  A caller that already holds ``key_of(recipe)``
+        passes it as ``key`` to skip recomputing it.
         """
-        key = self.key_of(recipe)
+        if key is None:
+            key = self.key_of(recipe)
         with self._lock:
             hit = self._mem.get(key)
             if hit is not None:

@@ -19,7 +19,7 @@ fast engine's spin replay goes through :meth:`Cache.slot_of` and
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import CacheConfig
 
@@ -30,7 +30,7 @@ class Cache:
     Stores line addresses (address >> offset_bits) rather than raw
     addresses.  ``probe``/``fill``/``invalidate`` are the access
     operations; the hierarchy composes them into load/store handling,
-    and warms a cache with ``preload``.
+    and warms a never-filled cache with ``preload``.
     """
 
     __slots__ = (
@@ -102,38 +102,73 @@ class Cache:
         self.evictions += 1
         return victim_line
 
-    def preload(self, lines: Iterable[int]) -> None:
-        """Insert every absent line of ``lines`` in order, as ``fill``
-        would, discarding victims; present lines are left untouched.
+    def preload(self, ranges: Sequence[range]) -> None:
+        """Fill a never-filled cache with the lines of ``ranges`` in
+        order, leaving exactly the state one ``fill`` per line would:
+        same ways, stamps, ``_tick`` and ``evictions``; victims are
+        discarded and hit/miss counters are not touched.
 
-        The bulk form of the prewarm loop ``if not contains(line):
-        fill(line)``: same ways, stamps, ``_tick`` and ``evictions`` from
-        any starting state, in one call instead of two per line.
-        Hit/miss counters are not touched.
+        Closed form: a set that receives lines one by one from empty
+        puts its k-th line (k from 0) in way ``k % assoc`` (an empty way
+        while one is left, then the least recently stamped, which is
+        that way again), stamps it with the line's position in the whole
+        sequence plus one, and evicts ``max(0, level - assoc)`` lines.
+        Consecutive lines map to consecutive sets, so a range is a few
+        passes over runs of sets; the fill level is kept as run-length
+        segments of sets, and each segment a pass crosses takes its
+        lines and stamps in one strided slice of each array.
+
+        Raises ``ValueError`` if the cache was ever filled, if a range
+        does not step by 1, or if two ranges share a line: the closed
+        form holds only for distinct lines entering empty sets.
         """
+        if self._tick:
+            raise ValueError("preload needs a never-filled cache")
+        if any(r.step != 1 for r in ranges if r):
+            raise ValueError("preload ranges must step by 1")
+        spans = sorted((r.start, r.stop) for r in ranges if r)
+        for (_, stop), (start, _) in zip(spans, spans[1:]):
+            if start < stop:
+                raise ValueError("preload ranges overlap")
         tags = self._tags
         lru = self._lru
-        mask = self._index_mask
         assoc = self.assoc
-        tick = self._tick
-        evictions = self.evictions
-        for line in lines:
-            base = (line & mask) * assoc
-            ways = tags[base:base + assoc]
-            if line in ways:
-                continue
-            tick += 1
-            try:
-                w = base + ways.index(-1)
-            except ValueError:
-                # Set full: the first least-recently-used way, as fill.
-                stamps = lru[base:base + assoc]
-                w = base + stamps.index(min(stamps))
-                evictions += 1
-            tags[w] = line
-            lru[w] = tick
-        self._tick = tick
-        self.evictions = evictions
+        mask = self._index_mask
+        # (first set, end set, fill level) segments covering every set.
+        segments = [(0, self.num_sets, 0)]
+        stamp = 1
+        evictions = 0
+        for r in ranges:
+            line, stop = r.start, r.stop
+            while line < stop:
+                # One pass: sets first..end-1 take line + (set - first).
+                first = line & mask
+                end = min(self.num_sets, first + stop - line)
+                base = line - first
+                stamp_base = stamp - first
+                crossed = []
+                for lo, hi, level in segments:
+                    a, b = max(lo, first), min(hi, end)
+                    if a >= b:
+                        crossed.append((lo, hi, level))
+                        continue
+                    way = level % assoc
+                    tags[a * assoc + way:b * assoc:assoc] = range(
+                        base + a, base + b)
+                    lru[a * assoc + way:b * assoc:assoc] = range(
+                        stamp_base + a, stamp_base + b)
+                    if level >= assoc:
+                        evictions += b - a
+                    if lo < a:
+                        crossed.append((lo, a, level))
+                    crossed.append((a, b, level + 1))
+                    if b < hi:
+                        crossed.append((b, hi, level))
+                segments = crossed
+                stamp += end - first
+                line += end - first
+        self._tick = stamp - 1
+        self.evictions += evictions
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present; returns whether it was present."""

@@ -135,20 +135,22 @@ class Directory:
 
         The coherence side of an L2 prewarm: no transaction, latency,
         counter, sanitizer or telemetry event.  Entries and line states
-        are created in the order of ``lines``.
+        are created in the order of ``lines``, as one ``state_of`` /
+        ``_entry`` / ``_set_state`` step per line would, from any state.
         """
         view = self._core_state[core]
+        new = dict.fromkeys(lines, State.S)
+        # Lines the core holds, in any state but I (I is never stored).
+        for line in view.keys() & new.keys():
+            del new[line]
+        view.update(new)
         entries = self._entries
-        shared = State.S
-        for line in lines:
-            if line in view:        # any state but I (I is never stored)
-                continue
+        for line in new:
             entry = entries.get(line)
             if entry is None:
                 entries[line] = DirEntry(sharers={core})
             else:
                 entry.sharers.add(core)
-            view[line] = shared
 
     def _dir_hops(self, requester: int, line: int) -> int:
         return self.mesh.hop_count(requester, self.home_of(line))

@@ -13,7 +13,6 @@ energy (L1/L2/memory accesses, NoC flit-hops, invalidations).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, NamedTuple
 
 from ..config import CMPConfig
@@ -181,18 +180,21 @@ class MemoryHierarchy:
         core: int,
         private_lines: range,
         shared_lines: range = range(0),
+        code_lines: range = range(0),
     ) -> None:
-        """Preload a core's L2 with its working set (no stats, no timing).
+        """Preload a core's never-filled L2 with its working set (no
+        stats, no timing): private, then shared, then code lines.
 
         Mirrors the paper's methodology of measuring the *parallel phase*:
         by then the initialization phase has touched all program data, so
         steady-state runs see capacity/coherence misses, not a cold-start
         compulsory-miss storm.  Shared lines enter in S state (read by
-        everyone during initialization).  Lines already present keep
-        their place and state; victims of a full set are dropped without
-        back-invalidation or directory eviction.
+        everyone during initialization).  Victims of a full set are
+        dropped without back-invalidation or directory eviction.  Raises
+        ``ValueError`` (before any state changes) if the core's L2 was
+        already filled or the ranges share a line.
         """
-        self.l2[core].preload(chain(private_lines, shared_lines))
+        self.l2[core].preload((private_lines, shared_lines, code_lines))
         self.directory.add_sharer(core, shared_lines)
 
     # -- statistics ---------------------------------------------------------

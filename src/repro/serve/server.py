@@ -404,7 +404,7 @@ class JobServer:
                 coalesced = True
                 tel.job_coalesce(job.id, len(job.waiters) + 1)
             else:
-                hit = self.runner.lookup(recipe)
+                hit = self.runner.lookup(recipe, key)
                 if hit is not None:
                     job = Job(self.registry.next_id(), key, recipe,
                               tel.now_us(), None)

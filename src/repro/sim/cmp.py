@@ -134,9 +134,9 @@ class CMPSimulator:
                 i,
                 range(private_floor, private_floor + private_span),
                 range(shared_floor, shared_floor + shared_span),
+                # Program code is resident after initialization as well.
+                range(0, 1024),
             )
-            # Program code is resident after initialization as well.
-            self.hierarchy.prewarm(i, range(0, 1024))
 
     # ------------------------------------------------------------------ #
 

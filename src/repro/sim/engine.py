@@ -50,7 +50,13 @@ import os
 from typing import Optional
 
 from ..budget.controller import BudgetController
-from ..core.pipeline import _ACQ_SPIN, _COMPLETE, _NO_SYNC, _SPIN_PC
+from ..core.pipeline import (
+    _ACQ_SPIN,
+    _BAR_SPIN,
+    _COMPLETE,
+    _NO_SYNC,
+    _SPIN_PC,
+)
 from ..power.model import CycleEvents
 
 __all__ = ["FastEngine", "engine_default", "resolve_engine"]
@@ -384,7 +390,7 @@ class FastEngine:
         if sig != C[_S_SIG]:
             return False
         state = sig[0]
-        if state != 2 and state != 7:
+        if state != _ACQ_SPIN and state != _BAR_SPIN:
             return False
         if A[_S_EPOCH] != C[_S_EPOCH] or C[_S_EPOCH] != self.epochs[i]:
             return False

@@ -251,27 +251,55 @@ _OPS = st.lists(
         st.tuples(st.just("invalidate"), _LINES),
         st.tuples(st.just("contains"), _LINES),
         st.tuples(st.just("restamp"), _LINES),
-        st.tuples(st.just("preload"), _LINES, st.integers(0, 40)),
         st.tuples(st.just("flush")),
     ),
     max_size=120,
 )
 
 
+@st.composite
+def _disjoint_ranges(draw):
+    """Up to three step-1 ranges that share no line, in any order.
+
+    Starts fall on and off set boundaries, ranges may be empty or
+    adjacent, and one range may be longer than the whole cache, so sets
+    overflow and evict."""
+    spans = []
+    start = draw(st.integers(0, 9))
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(0, 40))
+        spans.append(range(start, start + length))
+        start += length + draw(st.integers(0, 9))
+    return draw(st.permutations(spans))
+
+
+def _per_line_preload(ref, ranges):
+    """The per-line prewarm loop ``Cache.preload`` stands for."""
+    for r in ranges:
+        for line in r:
+            if not ref.contains(line):
+                ref.fill(line)
+
+
 class TestFlatLayoutMatchesNested:
     """The flat ``set * assoc + way`` arrays against the one-list-per-set
     cache they replaced: same return values, victims, counters, occupancy
-    and (set, way) contents after every operation.  ``preload`` is
-    checked against the per-line ``contains``/``fill`` loop it stands
-    for, and ``slot_of``/``restamp`` against the engine's old direct
-    (set, way) re-stamp."""
+    and (set, way) contents after every operation.  Each case starts with
+    a ``preload`` of the fresh cache, checked against the per-line
+    ``contains``/``fill`` loop it stands for, and checks
+    ``slot_of``/``restamp`` against the engine's old direct (set, way)
+    re-stamp."""
 
     @pytest.mark.parametrize("assoc", [1, 2, 4])
     @settings(max_examples=100, deadline=None)
-    @given(ops=_OPS)
-    def test_same_behaviour(self, assoc, ops):
+    @given(ranges=_disjoint_ranges(), ops=_OPS)
+    def test_same_behaviour(self, assoc, ranges, ops):
         cfg = CacheConfig(4 * assoc * 64, assoc)
         flat, ref = Cache(cfg), _NestedCache(cfg)
+        flat.preload(ranges)
+        _per_line_preload(ref, ranges)
+        assert _counters(flat) == _counters(ref)
+        assert _flat_ways(flat) == ref.ways()
         for op in ops:
             kind, args = op[0], op[1:]
             if kind == "restamp":
@@ -279,45 +307,50 @@ class TestFlatLayoutMatchesNested:
                 if slot is not None:
                     flat.restamp(slot)
                 assert (slot is not None) == ref.restamp_line(args[0])
-            elif kind == "preload":
-                lines = range(args[0], args[0] + args[1])
-                flat.preload(lines)
-                for line in lines:
-                    if not ref.contains(line):
-                        ref.fill(line)
             else:
                 assert getattr(flat, kind)(*args) == getattr(ref, kind)(*args)
             assert _counters(flat) == _counters(ref)
             assert _flat_ways(flat) == ref.ways()
 
     def test_preload_evicts_like_fill(self):
-        """A range three times the cache's size overflows every set."""
+        """A range three times the cache's size, from a start off a set
+        boundary, overflows every set."""
         cfg = CacheConfig(4 * 2 * 64, 2)
         flat, ref = Cache(cfg), _NestedCache(cfg)
-        for c in (flat, ref):
-            c.fill(5)
-            c.fill(9)
-            c.probe(5)
-        flat.preload(range(3, 27))
-        for line in range(3, 27):
-            if not ref.contains(line):
-                ref.fill(line)
-        assert flat.evictions == ref.evictions > 0
+        flat.preload([range(3, 27)])
+        _per_line_preload(ref, [range(3, 27)])
+        assert flat.evictions == ref.evictions == 16
         assert _counters(flat) == _counters(ref)
         assert _flat_ways(flat) == ref.ways()
 
-    def test_preload_breaks_lru_ties_to_the_first_way(self):
-        """Equal stamps (a re-stamp after a hit) evict the lower way."""
-        cfg = CacheConfig(4 * 2 * 64, 2)
-        flat, ref = Cache(cfg), _NestedCache(cfg)
-        for c in (flat, ref):
-            c.fill(0)
-            c.fill(4)                # same set: full
-            c.probe(0)
-        flat.restamp(flat.slot_of(4))
-        ref.restamp_line(4)
-        assert _flat_ways(flat) == ref.ways()
-        flat.preload(range(8, 9))
-        ref.fill(8)
-        assert _flat_ways(flat) == ref.ways()
-        assert flat.contains(4) and not flat.contains(0)
+
+class TestPreloadContract:
+    """The closed form holds only for distinct lines entering a cache
+    that was never filled; anything else is refused before any write."""
+
+    @pytest.mark.parametrize("touch", [
+        lambda c: c.fill(5),
+        lambda c: c.preload([range(5, 6)]),
+    ], ids=["fill", "preload"])
+    def test_preload_after_a_fill_raises(self, touch):
+        c = small_cache()
+        touch(c)
+        ways = _flat_ways(c)
+        with pytest.raises(ValueError, match="never-filled"):
+            c.preload([range(8, 12)])
+        assert _flat_ways(c) == ways
+
+    @pytest.mark.parametrize("ranges", [
+        [range(0, 10), range(9, 12)],
+        [range(9, 12), range(0, 10)],
+        [range(4, 6), range(0, 3), range(5, 5), range(2, 4)],
+    ])
+    def test_overlapping_ranges_raise(self, ranges):
+        c = small_cache()
+        with pytest.raises(ValueError, match="overlap"):
+            c.preload(ranges)
+        assert _counters(c) == (0, 0, 0, 0, (0, 8))
+
+    def test_ranges_must_step_by_one(self):
+        with pytest.raises(ValueError, match="step"):
+            small_cache().preload([range(0, 10, 2)])

@@ -164,21 +164,26 @@ class TestInclusive:
         assert rates["l1d"] == pytest.approx(0.5)
 
 
-def _per_line_prewarm(h, core, private_lines, shared_lines=range(0)):
+def _per_line_add_sharer(d, core, lines):
+    """The per-line loop ``Directory.add_sharer`` replaced."""
+    for line in lines:
+        if d.state_of(core, line) == State.I:
+            entry = d._entry(line)
+            entry.sharers.add(core)
+            d._set_state(core, line, State.S)
+
+
+def _per_line_prewarm(h, core, private_lines, shared_lines=range(0),
+                      code_lines=range(0)):
     """The per-line prewarm loop that ``Cache.preload`` and
     ``Directory.add_sharer`` replaced, as the differential reference."""
     l2 = h.l2[core]
     hits, misses = l2.hits, l2.misses
-    for line in private_lines:
-        if not l2.contains(line):
-            l2.fill(line)
-    for line in shared_lines:
-        if not l2.contains(line):
-            l2.fill(line)
-        if h.directory.state_of(core, line) == State.I:
-            entry = h.directory._entry(line)
-            entry.sharers.add(core)
-            h.directory._set_state(core, line, State.S)
+    for lines in (private_lines, shared_lines, code_lines):
+        for line in lines:
+            if not l2.contains(line):
+                l2.fill(line)
+    _per_line_add_sharer(h.directory, core, shared_lines)
     l2.hits, l2.misses = hits, misses
 
 
@@ -198,12 +203,13 @@ def _hierarchy_state(h):
     return caches, entries, [list(v.items()) for v in d._core_state]
 
 
-def _tiny_hierarchy():
-    """Three cores whose 8-set, 4-way L2 (32 lines) a short range overflows."""
+def _tiny_hierarchy(assoc=4):
+    """Three cores whose 8-set L2 (8 * assoc lines) a short range
+    overflows."""
     mem = MemoryConfig(
         l1i=CacheConfig(4 * 2 * 64, 2),
         l1d=CacheConfig(4 * 2 * 64, 2),
-        l2_per_core=CacheConfig(8 * 4 * 64, 4, latency=12),
+        l2_per_core=CacheConfig(8 * assoc * 64, assoc, latency=12),
     )
     cfg = CMPConfig(num_cores=3, mem=mem)
     return MemoryHierarchy(cfg, Mesh2D(3, cfg.net))
@@ -212,58 +218,124 @@ def _tiny_hierarchy():
 _PRIV_LINE = PRIV >> 6
 _SHARED_LINE = SHARED >> 6
 _CORE = st.integers(0, 2)
-_PREWARM_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("prewarm"), _CORE,
-            st.integers(0, 40), st.integers(0, 80),
-            st.integers(0, 40), st.integers(0, 80),
-        ),
-        st.tuples(st.sampled_from(["load", "store"]), _CORE,
-                  st.booleans(), st.integers(0, 60)),
-    ),
+# (offset, length): starts on and off the 8-set boundary, empty ranges,
+# and ranges up to 10x a 1-way L2 that overflow sets and evict.
+_SPAN = st.tuples(st.integers(0, 40), st.integers(0, 80))
+_ACCESSES = st.lists(
+    st.tuples(st.sampled_from(["load", "store"]), _CORE,
+              st.booleans(), st.integers(0, 60)),
     max_size=25,
 )
 
 
-class TestBulkPrewarmMatchesPerLineLoop:
-    """``prewarm`` against the per-line loop it replaced, from whatever
-    state earlier prewarms and accesses left: ranges repeat lines already
-    present, overlap each other and overflow sets (the eviction branch no
-    shipped benchmark reaches), and shared lines may already be held in
-    any MOESI state."""
+def _prewarm_ranges(private, shared, code):
+    """A core's private, shared and code lines from three (offset,
+    length) spans, in the regions ``CMPSimulator`` prewarms."""
+    return (
+        range(_PRIV_LINE + private[0], _PRIV_LINE + sum(private)),
+        range(_SHARED_LINE + shared[0], _SHARED_LINE + sum(shared)),
+        range(code[0], sum(code)),
+    )
 
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_PREWARM_OPS)
-    def test_same_state_after_every_step(self, ops):
-        bulk, ref = _tiny_hierarchy(), _tiny_hierarchy()
+
+def _access(h, op):
+    kind, core, shared, off = op
+    return getattr(h, kind)(core, (SHARED if shared else PRIV) + off * 64)
+
+
+class TestBulkPrewarmMatchesPerLineLoop:
+    """``prewarm`` against the per-line loop it replaced: every core of a
+    fresh hierarchy is prewarmed once, then random loads and stores run,
+    and the state must match after every step.  Ranges start on and off
+    set boundaries, may be empty and overflow sets (the eviction branch
+    no shipped benchmark reaches)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        assoc=st.sampled_from([1, 2, 4]),
+        spans=st.lists(st.tuples(_SPAN, _SPAN, _SPAN), min_size=3,
+                       max_size=3),
+        ops=_ACCESSES,
+    )
+    def test_same_state_after_every_step(self, assoc, spans, ops):
+        bulk, ref = _tiny_hierarchy(assoc), _tiny_hierarchy(assoc)
+        for core, span in enumerate(spans):
+            ranges = _prewarm_ranges(*span)
+            bulk.prewarm(core, *ranges)
+            _per_line_prewarm(ref, core, *ranges)
+            assert _hierarchy_state(bulk) == _hierarchy_state(ref)
         for op in ops:
-            if op[0] == "prewarm":
-                _, core, p0, plen, s0, slen = op
-                private = range(_PRIV_LINE + p0, _PRIV_LINE + p0 + plen)
-                shared = range(_SHARED_LINE + s0, _SHARED_LINE + s0 + slen)
-                bulk.prewarm(core, private, shared)
-                _per_line_prewarm(ref, core, private, shared)
-            else:
-                kind, core, shared, off = op
-                addr = (SHARED if shared else PRIV) + off * 64
-                assert getattr(bulk, kind)(core, addr) == getattr(ref, kind)(
-                    core, addr)
+            assert _access(bulk, op) == _access(ref, op)
             assert _hierarchy_state(bulk) == _hierarchy_state(ref)
 
     def test_overflowing_prewarm_evicts_like_fill(self):
         bulk, ref = _tiny_hierarchy(), _tiny_hierarchy()
-        for h in (bulk, ref):
-            h.load(0, SHARED)            # E, then M: kept by the prewarm
-            h.store(0, SHARED)
-            h.load(0, PRIV + 3 * 64)
-        private = range(_PRIV_LINE, _PRIV_LINE + 70)
-        shared = range(_SHARED_LINE, _SHARED_LINE + 20)
-        bulk.prewarm(0, private, shared)
-        _per_line_prewarm(ref, 0, private, shared)
+        ranges = (range(_PRIV_LINE, _PRIV_LINE + 70),
+                  range(_SHARED_LINE + 3, _SHARED_LINE + 23),
+                  range(0, 40))
+        bulk.prewarm(0, *ranges)
+        _per_line_prewarm(ref, 0, *ranges)
         bulk.prewarm(1, range(0, 40))
         _per_line_prewarm(ref, 1, range(0, 40))
-        assert bulk.l2[0].evictions == ref.l2[0].evictions > 0
-        assert bulk.l2[1].evictions == ref.l2[1].evictions > 0
-        assert bulk.directory.state_of(0, _SHARED_LINE) == State.M
+        assert bulk.l2[0].evictions == ref.l2[0].evictions == 98
+        assert bulk.l2[1].evictions == ref.l2[1].evictions == 8
         assert _hierarchy_state(bulk) == _hierarchy_state(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ACCESSES, core=_CORE, span=_SPAN)
+    def test_add_sharer_matches_per_line_loop_from_any_state(
+            self, ops, core, span):
+        """Shared lines the core already holds, in any MOESI state,
+        keep their state and their place in the dict order."""
+        bulk, ref = _tiny_hierarchy(), _tiny_hierarchy()
+        for op in ops:
+            _access(bulk, op)
+            _access(ref, op)
+        lines = range(_SHARED_LINE + span[0], _SHARED_LINE + sum(span))
+        bulk.directory.add_sharer(core, lines)
+        _per_line_add_sharer(ref.directory, core, lines)
+        assert _hierarchy_state(bulk) == _hierarchy_state(ref)
+
+
+class TestPrewarmContract:
+    """``prewarm`` writes a never-filled L2 in closed form, so it refuses,
+    before changing any state, an L2 that was ever filled and ranges that
+    share a line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_ACCESSES.filter(bool))
+    def test_prewarm_after_any_fill_raises(self, ops):
+        h = _tiny_hierarchy()
+        for op in ops:
+            _access(h, op)
+        touched = {op[1] for op in ops}    # a first access always fills
+        before = _hierarchy_state(h)
+        for core in touched:
+            with pytest.raises(ValueError, match="never-filled"):
+                h.prewarm(core, range(_PRIV_LINE, _PRIV_LINE + 4),
+                          range(_SHARED_LINE, _SHARED_LINE + 4))
+        assert _hierarchy_state(h) == before
+        for core in {0, 1, 2} - touched:
+            h.prewarm(core, range(_PRIV_LINE, _PRIV_LINE + 4))
+
+    def test_second_prewarm_of_a_core_raises(self):
+        h = _tiny_hierarchy()
+        h.prewarm(0, range(_PRIV_LINE, _PRIV_LINE + 4))
+        before = _hierarchy_state(h)
+        with pytest.raises(ValueError, match="never-filled"):
+            h.prewarm(0, range(0), range(_SHARED_LINE, _SHARED_LINE + 4))
+        assert _hierarchy_state(h) == before
+        h.prewarm(1, range(0), range(_SHARED_LINE, _SHARED_LINE + 4))
+
+    @pytest.mark.parametrize("ranges", [
+        (range(100, 110), range(105, 120)),
+        (range(0), range(_SHARED_LINE, _SHARED_LINE + 4),
+         range(_SHARED_LINE + 3, _SHARED_LINE + 5)),
+        (range(0, 10), range(0), range(9, 1024)),
+    ], ids=["private-shared", "shared-code", "private-code"])
+    def test_overlapping_ranges_raise(self, ranges):
+        h = _tiny_hierarchy()
+        before = _hierarchy_state(h)
+        with pytest.raises(ValueError, match="overlap"):
+            h.prewarm(0, *ranges)
+        assert _hierarchy_state(h) == before

@@ -123,6 +123,31 @@ class TestCoalescing:
         assert stats["jobs_submitted"] == 1  # second never queued
         assert first.payload == second.payload
 
+    def test_warm_submit_computes_one_key_per_recipe(
+            self, tmp_path, monkeypatch):
+        """The server's cache probe reuses the key it coalesces on."""
+        import repro.analysis.runner as runner_mod
+
+        with ServerThread(make_config(tmp_path)) as st:
+            with ServeClient.connect(st.address) as cli:
+                cli.submit([RECIPE])     # cold: simulated, written to disk
+                cli.submit([RECIPE])     # a disk hit, pulled into the memo
+            before = st.status()["runner"]
+            calls = []
+            real = runner_mod._cache_key
+
+            def spy(*args, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(runner_mod, "_cache_key", spy)
+            with ServeClient.connect(st.address) as cli:
+                reply = cli.submit([RECIPE, RECIPE, RECIPE])
+            after = st.status()["runner"]
+        assert calls == [RECIPE] * 3
+        assert [r.cached for r in reply.results] == [True] * 3
+        assert after["mem_hits"] == before["mem_hits"] + 3
+
     def test_duplicate_recipes_in_one_request_coalesce(
             self, tmp_path, sim_calls):
         with ServerThread(make_config(tmp_path)) as st:
