@@ -346,20 +346,6 @@ class ExperimentRunner:
 
     # -- cache plumbing -----------------------------------------------------
 
-    def _key(
-        self,
-        benchmark: str,
-        cores: int,
-        technique: str,
-        policy: Optional[str],
-        relax: float,
-        budget_fraction: Optional[float],
-    ) -> tuple:
-        recipe = Recipe(benchmark, cores, technique, policy, relax,
-                        budget_fraction)
-        return _cache_key(recipe, self.scale, self.max_cycles, self.seed,
-                          self.engine)
-
     def _path(self, key: tuple) -> Path:
         return _entry_path(self.cache_dir, key)
 
@@ -527,9 +513,13 @@ class ExperimentRunner:
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
+        self.remember(key, result)
+        return result
+
+    def remember(self, key: tuple, result: SimResult) -> None:
+        """Enter ``result`` into the in-memory memo under cache ``key``."""
         with self._lock:
             self._mem[key] = result
-        return result
 
     def inflight(self) -> List[Recipe]:
         """Recipes currently simulating via :meth:`submit` (snapshot)."""

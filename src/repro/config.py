@@ -282,11 +282,11 @@ class CMPConfig:
     #: (also enabled by the ``REPRO_TELEMETRY=1`` env var).  Off by
     #: default: probes are ``None`` and cost one attribute test.
     telemetry: bool = False
-    #: Cycle-engine selection for :meth:`repro.sim.cmp.CMPSimulator.run`:
-    #: ``"reference"`` is the plain lock-step loop, ``"fast"`` is
-    #: :class:`repro.sim.engine.FastEngine` (byte-identical results,
-    #: much faster on spin-heavy workloads), ``"auto"`` defers to the
-    #: ``REPRO_ENGINE`` env var and defaults to the reference path.
+    #: Fast-forward in :class:`repro.sim.engine.FastEngine`, the one
+    #: cycle loop: ``"reference"`` steps every core every cycle,
+    #: ``"fast"`` fast-forwards frozen and periodic spans (byte-identical
+    #: results, much faster on spin-heavy workloads), ``"auto"`` defers
+    #: to the ``REPRO_ENGINE`` env var and defaults to ``"reference"``.
     engine: str = "auto"
 
     def __post_init__(self) -> None:

@@ -75,7 +75,12 @@ class ThermalModel:
             return
         decay = math.exp(-n / self.tau)
         temps = self.temps
-        mean_t = sum(temps) / len(temps)
+        # A left fold, not sum(): CPython 3.12's compensated float sum
+        # can round differently and move every digest downstream.
+        total_t = 0.0
+        for t in temps:
+            total_t += t
+        mean_t = total_t / len(temps)
         for i in range(self.num_cores):
             p_avg: Watts = self._energy_acc[i] / n
             # Steady-state target for this power level, pulled toward the

@@ -78,12 +78,6 @@ class SubmitReply:
         self.queue_depth = queue_depth
         self.results = results
 
-    def result_for(self, job_id: str) -> Optional[JobResult]:
-        for res in self.results:
-            if res.job == job_id:
-                return res
-        return None
-
 
 class ServeClient:
     """One blocking connection to a :class:`~repro.serve.server.JobServer`."""

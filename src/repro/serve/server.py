@@ -585,6 +585,7 @@ class JobServer:
             job.error = f"{type(exc).__name__}: {exc}"
             self._finish_job(job, ERROR)
         else:
+            self.runner.remember(job.key, result)
             job.payload = pickle.dumps(result, PICKLE_PROTOCOL)
             self._finish_job(job, DONE)
 

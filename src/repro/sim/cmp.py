@@ -1,9 +1,10 @@
-"""The CMP simulator: lock-stepped multicore cycle loop.
+"""The CMP simulator: one lock-stepped multicore run.
 
 Ties every substrate together — cores, caches + MOESI directory, mesh,
 sync domain, power model, thermal model and the budget controller — and
-advances them one global cycle at a time, which is what lets PTB (a
-cycle-level mechanism) be modelled faithfully.
+hands them to the cycle loop in :mod:`repro.sim.engine`, which advances
+them one global cycle at a time: that is what lets PTB (a cycle-level
+mechanism) be modelled faithfully.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..core.pipeline import Core
 from ..isa.kmeans import default_token_classes
 from ..mem.hierarchy import MemoryHierarchy
 from ..noc.mesh import Mesh2D
-from ..power.model import CycleEvents, EnergyModel
+from ..power.model import EnergyModel
 from ..power.thermal import ThermalModel
 from ..simcheck.sanitizers import SanitizerSuite, sanitize_enabled
 from ..sync.primitives import SyncDomain
@@ -27,6 +28,7 @@ from ..telemetry.session import TelemetrySession, telemetry_enabled
 from ..trace.generator import ThreadTraceGenerator
 from ..trace.phases import ParallelProgram
 from ..units import Watts
+from .engine import FastEngine
 from .results import SimResult
 
 #: Fallback run length when a program never completes (deadlock guard).
@@ -141,138 +143,12 @@ class CMPSimulator:
     # ------------------------------------------------------------------ #
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> SimResult:
-        """Run to completion (or ``max_cycles``) on the configured engine.
+        """Run to completion (or ``max_cycles``).
 
-        ``cfg.engine`` selects between the reference lock-step loop below
-        and :class:`repro.sim.engine.FastEngine`, which produces
-        byte-identical ``SimResult`` pickles (tests/test_engine_equivalence
-        is the proof).  Sanitized or telemetry-enabled runs always take
-        the reference path: both attach observation hooks to methods the
-        fast engine deliberately does not call every cycle.
+        :class:`repro.sim.engine.FastEngine` holds the one cycle loop;
+        ``cfg.engine`` only decides whether it fast-forwards.
         """
-        from .engine import FastEngine, resolve_engine
-
-        if (
-            resolve_engine(self.cfg.engine) == "fast"
-            and self.sanitizers is None
-            and self.telemetry is None
-        ):
-            return FastEngine(self).run(max_cycles)
-        return self._run_reference(max_cycles)
-
-    def _run_reference(self, max_cycles: int) -> SimResult:
-        cfg = self.cfg
-        n = cfg.num_cores
-        cores = self.cores
-        controller = self.controller
-        energy = self.energy
-        thermal = self.thermal
-        budget = self.global_budget
-        sync_domain = self.sync_domain
-
-        execute = controller.execute
-        fetch_allowed = controller.fetch_allowed
-        issue_width = controller.issue_width
-        v_scale = controller.v_scale
-        budget_lines = controller.budget_lines
-        unctrl = energy.uncontrollable_power
-        inv_token_unit = 1.0 / energy.token_unit
-
-        powers = [0.0] * n
-        smoothed = [0.0] * n
-        alpha = cfg.power.sensor_alpha
-        beta = 1.0 - alpha
-        tokens = [0] * n
-        phase_cycles = [[0, 0, 0, 0] for _ in range(n)]
-        spin_energy = 0.0
-        total_energy = 0.0
-        aopb = 0.0
-        aopb_global = 0.0
-        max_power = 0.0
-
-        trace: Optional[list] = [] if self.collect_traces else None
-        core_traces: Optional[list] = [] if self.collect_traces else None
-
-        cycle_power = energy.cycle_power
-        temps = thermal.temps
-        sanitizers = self.sanitizers
-        telemetry = self.telemetry
-        begin_cycle = controller.begin_cycle
-        end_cycle = controller.end_cycle
-        add_thermal_cycle = thermal.add_cycle
-
-        cycle = 0
-        done_count = 0
-        while cycle < max_cycles and done_count < n:
-            if sanitizers is not None:
-                sanitizers.on_cycle(cycle)
-            if telemetry is not None:
-                telemetry.begin_cycle(cycle)
-            begin_cycle(cycle)
-            total = 0.0
-            done_count = 0
-            for i in range(n):
-                core = cores[i]
-                if core.done:
-                    core.idle_cycle(cycle)
-                elif execute[i]:
-                    core.step(cycle, fetch_allowed[i], issue_width[i])
-                else:
-                    core.idle_cycle(cycle)
-                p = cycle_power(core.events, v_scale[i], temps[i])
-                powers[i] = p
-                # Power grid/package capacitance integrates switching
-                # energy; controllers and the AoPB metric both see the
-                # filtered curve (cf. the smooth traces of Figures 1/6).
-                ps = smoothed[i] * beta + p * alpha
-                smoothed[i] = ps
-                # Control-plane power tokens: the sensor reading expressed
-                # in token currency (the paper's PTHT accounting tracks
-                # true power within 1%, so controller and meter agree).
-                over_floor = ps - unctrl
-                tokens[i] = int(over_floor * inv_token_unit) if over_floor > 0 else 0
-                total += p
-                # AoPB (Figure 1): per-core area above the core's budget
-                # line.  PTB raises a receiving core's line with granted
-                # tokens, conserving the global sum.
-                d = ps - budget_lines[i]
-                if d > 0:
-                    aopb += d
-                # A thread that finishes *during* this step counts now:
-                # checking ``done`` only at the loop top burned one extra
-                # all-idle cycle after the last thread finished and
-                # misreported a thread completing at ``max_cycles - 1``
-                # as truncated.
-                if not core.done:
-                    phase_cycles[i][core.sync_phase] += 1
-                    if core.is_spinning:
-                        spin_energy += p
-                else:
-                    done_count += 1
-            total_energy += total
-            total_s = 0.0
-            for ps in smoothed:
-                total_s += ps
-            if total_s > budget:
-                aopb_global += total_s - budget
-            if total > max_power:
-                max_power = total
-            add_thermal_cycle(powers)
-            if telemetry is not None:
-                # Same smoothed/budget_lines values the AoPB just used,
-                # observed before the controller reacts to this cycle.
-                telemetry.sample_cycle(powers, smoothed, budget_lines,
-                                       total, total_s)
-            end_cycle(cycle, tokens, smoothed, sync_domain)
-            if trace is not None:
-                trace.append(total)
-                core_traces.append(list(powers))
-            cycle += 1
-
-        return self._finish(
-            max_cycles, cycle, done_count, total_energy, aopb, aopb_global,
-            spin_energy, max_power, phase_cycles, trace, core_traces,
-        )
+        return FastEngine(self).run(max_cycles)
 
     def _finish(
         self,
@@ -288,11 +164,9 @@ class CMPSimulator:
         trace: Optional[list],
         core_traces: Optional[list],
     ) -> SimResult:
-        """Fold final accumulators into a :class:`SimResult`.
+        """Fold the cycle loop's final accumulators into a :class:`SimResult`.
 
-        Single home for the truncation warning and result assembly,
-        shared by the reference loop and the fast engine so the two
-        paths cannot drift apart in how a run is reported.
+        Single home for the truncation warning and result assembly.
         """
         n = self.cfg.num_cores
         cores = self.cores

@@ -1,21 +1,30 @@
-"""Fast cycle engine: SoA accounting plane + idle/spin fast-forward.
+"""The cycle loop: SoA accounting plane + idle/spin fast-forward.
 
-:class:`FastEngine` is a second execution path for
-:meth:`repro.sim.cmp.CMPSimulator.run`.  It produces ``SimResult``
-pickles byte-identical to the reference lock-step loop (every float is
-accumulated in the same IEEE order, every counter follows the same
-sequence of integer updates) while skipping the per-cycle work the
-reference spends on cores that cannot change architectural state.
+:class:`FastEngine` runs every :meth:`repro.sim.cmp.CMPSimulator.run`.
+With fast-forward off it is the plain lock-step loop: every core steps
+every cycle, a finished one through ``Core.idle_cycle``.  With
+fast-forward on it skips the per-cycle work on cores that cannot change
+architectural state, and its ``SimResult`` pickles stay byte-identical
+(every float is accumulated in the same IEEE order, every counter
+follows the same sequence of integer updates).  The hashes recorded in
+tests/test_sim_regression.py and bench/golden.json pin those bytes.
+
+Fast-forward is on when the engine setting resolves to ``"fast"`` and
+telemetry is off.  Telemetry samples every core's phase and ROB
+occupancy each cycle, so a traced run steps every core-cycle.
+Sanitizer checks fire on component events (commits, coherence misses,
+mesh injections, balancer distributions), and a frozen span raises
+none, so sanitized runs fast-forward.
 
 Per core the engine runs a four-mode state machine:
 
-* ``REAL`` — delegate to ``Core.step``/``Core.idle_cycle`` exactly like
-  the reference loop.  After every real cycle the engine classifies the
+* ``REAL`` — delegate to ``Core.step``/``Core.idle_cycle``.  With
+  fast-forward on, after every real cycle the engine classifies the
   core's next-cycle behaviour and may promote it to a cheaper mode.
 * ``DONE`` — the thread finished.  A post-completion idle cycle mutates
   nothing observable (empty ROB, zero token residency), so the engine
-  only charges the cached gated-cycle power until voltage or
-  temperature change.
+  charges the cached gated-cycle power until voltage or temperature
+  change; with fast-forward off it still calls ``Core.idle_cycle``.
 * ``SKIP`` — timed quiescence: the core provably freezes until a known
   wake-up cycle (draining a long-latency ROB head, a fetch-redirect
   stall, a full ROB, or a spin loop gated by ``_spin_next``).  Each
@@ -23,9 +32,9 @@ Per core the engine runs a four-mode state machine:
   per-cycle counters; the deferred integer side effects
   (``executed_cycles``, ``mem_stall_cycles``, token residency) are
   restored in closed form at exit.  Lock/barrier hand-offs are polled
-  every skipped cycle — the one dict probe the reference's own poll
+  every skipped cycle — the one dict probe a stepped core's own poll
   would perform — so a grant or release wakes the core on exactly the
-  reference cycle.
+  cycle a stepped run would.
 * ``REPLAY`` — certified periodic spinning.  While a spinner's
   microarchitectural state (ROB contents, FU pool, gshare row, PTHT
   rows, events vector) repeats with period 2 or 4, the engine stops
@@ -36,18 +45,17 @@ Per core the engine runs a four-mode state machine:
   or release is already pending.  At exit the full state is
   reconstructed by shifting the certified snapshots forward in time.
 
-Both engines drive the budget controller the same way: its
-``end_cycle`` runs every cycle (its own steady path keeps that cheap),
-and the engine only skips hooks a controller does not override.  Cached
-per-core powers are re-read when the controller's ``v_epoch`` moves or
-the thermal model steps.  See DESIGN.md section 10 for the legality
-arguments.
+The budget controller's ``end_cycle`` runs every cycle (its own steady
+path keeps that cheap), and the engine only skips hooks a controller
+does not override.  Cached per-core powers are re-read when the
+controller's ``v_epoch`` moves or the thermal model steps.  See
+DESIGN.md section 10 for the legality arguments.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..budget.controller import BudgetController
 from ..core.pipeline import (
@@ -56,8 +64,13 @@ from ..core.pipeline import (
     _COMPLETE,
     _NO_SYNC,
     _SPIN_PC,
+    Core,
 )
-from ..power.model import CycleEvents
+from ..power.model import CycleEvents, EnergyModel
+from ..sync.primitives import SyncDomain
+
+if TYPE_CHECKING:
+    from .cmp import CMPSimulator
 
 __all__ = ["FastEngine", "engine_default", "resolve_engine"]
 
@@ -167,15 +180,17 @@ class _CoreState:
 
 
 class FastEngine:
-    """Fast execution of one :class:`repro.sim.cmp.CMPSimulator` run."""
+    """The cycle loop of one :class:`repro.sim.cmp.CMPSimulator` run."""
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim: CMPSimulator) -> None:
         self.sim = sim
         cfg = sim.cfg
         n = cfg.num_cores
-        self.cores = sim.cores
-        self.sync = sim.sync_domain
-        self.energy = sim.energy
+        # Annotated so simcheck's purity walk follows the loop into the
+        # components it steps.
+        self.cores: List[Core] = sim.cores
+        self.sync: SyncDomain = sim.sync_domain
+        self.energy: EnergyModel = sim.energy
         self.mesh = sim.mesh
         hierarchy = sim.hierarchy
         self.l1d = hierarchy.l1d
@@ -599,6 +614,7 @@ class FastEngine:
     # ------------------------------------------------------------------ #
 
     def run(self, max_cycles: int):
+        """Run to completion (or ``max_cycles``); see the module docstring."""
         sim = self.sim
         cfg = sim.cfg
         n = cfg.num_cores
@@ -657,6 +673,11 @@ class FastEngine:
         )
         v_epoch = controller.v_epoch
         unsteady_at_start = controller.unsteady_cycles
+        sanitizers = sim.sanitizers
+        telemetry = sim.telemetry
+        # Fast-forward: off on the reference engine, and on traced runs,
+        # whose per-cycle sample reads every core's phase and ROB.
+        ff = resolve_engine(cfg.engine) == "fast" and telemetry is None
 
         done_total = 0
         for i in range(n):
@@ -674,6 +695,10 @@ class FastEngine:
 
         cycle = 0
         while cycle < max_cycles and done_total < n:
+            if sanitizers is not None:
+                sanitizers.on_cycle(cycle)
+            if telemetry is not None:
+                telemetry.begin_cycle(cycle)
             if begin_cycle is not None:
                 begin_cycle(cycle)
             total = 0.0
@@ -758,6 +783,8 @@ class FastEngine:
                     else:
                         core.idle_cycle(cycle)
                     p = cycle_power(core.events, v_scale[i], temps[i])
+                    # A thread that finishes during this step counts now,
+                    # so the run stops on the cycle the last one finishes.
                     if core.done:
                         done_total += 1
                         st.mode = _DONE
@@ -767,15 +794,17 @@ class FastEngine:
                         phase_cycles[i][core.sync_phase] += 1
                         if core.is_spinning:
                             spin_energy += p
-                            if execute[i] and fetch_allowed[i]:
+                            if ff and execute[i] and fetch_allowed[i]:
                                 self._track(st, i, core, cycle)
                             elif st.win:
                                 del st.win[:]
                         elif st.win:
                             del st.win[:]
-                        if st.mode == _REAL:
+                        if ff and st.mode == _REAL:
                             self._classify(st, i, core, cycle)
                 elif m == _DONE:
+                    if not ff:
+                        cores[i].idle_cycle(cycle)
                     if st.pe != pe:
                         st.pe = pe
                         v = v_scale[i]
@@ -788,15 +817,24 @@ class FastEngine:
                             st.p_t = t
                     p = st.p
                 powers[i] = p
+                # Power grid/package capacitance integrates switching
+                # energy; controllers and the AoPB metric both see the
+                # filtered curve (cf. the smooth traces of Figures 1/6).
                 ps = smoothed[i] * beta + p * alpha
                 smoothed[i] = ps
                 if end_cycle is not None:
+                    # Control-plane power tokens: the sensor reading in
+                    # token currency (the paper's PTHT accounting tracks
+                    # true power within 1%, so controller and meter agree).
                     over_floor = ps - unctrl
                     tokens[i] = (
                         int(over_floor * inv_token_unit)
                         if over_floor > 0 else 0
                     )
                 total += p
+                # AoPB (Figure 1): per-core area above the core's budget
+                # line.  PTB raises a receiving core's line with granted
+                # tokens, conserving the global sum.
                 d = ps - budget_lines[i]
                 if d > 0:
                     aopb += d
@@ -814,6 +852,11 @@ class FastEngine:
             if thermal._cycles_acc >= t_interval:
                 thermal._step()
                 pe += 1
+            if telemetry is not None:
+                # The smoothed powers and budget lines the AoPB just
+                # used, observed before the controller reacts.
+                telemetry.sample_cycle(powers, smoothed, budget_lines,
+                                       total, total_s)
 
             if end_cycle is not None:
                 end_cycle(cycle, tokens, smoothed, sync_domain)
@@ -826,8 +869,8 @@ class FastEngine:
                 core_traces.append(list(powers))
             cycle += 1
 
-        # Flush fast-forwarded cores so post-run state matches the
-        # reference exactly (SimResult reads committed/PTHT counters).
+        # Flush fast-forwarded cores so post-run state matches a stepped
+        # run exactly (SimResult reads committed/PTHT counters).
         for i in range(n):
             st = states[i]
             if st.mode == _SKIP:

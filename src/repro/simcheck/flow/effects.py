@@ -667,7 +667,8 @@ class BodyWalker:
             b = self.eval(expr.orelse)
             if isinstance(a, Instance) and a is b:
                 return a
-            return a if isinstance(a, (Instance, Loc)) else b
+            # ``hook if overridden else None`` keeps the bound method.
+            return a if isinstance(a, (Instance, Loc, BoundMethod)) else b
         if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                              ast.DictComp)):
             for gen in expr.generators:

@@ -59,7 +59,11 @@ INT_MEM_MIX: Dict[Kind, float] = {
 
 
 def validate_mix(mix: Dict[Kind, float]) -> None:
-    total = sum(mix.values())
+    # A left fold, not sum(): the float total is then the same on every
+    # interpreter (CPython 3.12 compensates float sums).
+    total = 0.0
+    for v in mix.values():
+        total += v
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"instruction mix must sum to 1, got {total}")
     if any(v < 0 for v in mix.values()):

@@ -1,10 +1,13 @@
-"""Fast-engine equivalence matrix.
+"""Fast-forward equivalence matrix.
 
-The contract of :class:`repro.sim.engine.FastEngine` is *byte identity*:
-for any run the fast engine must produce a ``SimResult`` whose pickle
-(protocol 4) hashes identically to the reference lock-step loop's.  Not
-"statistically close" — the same floats accumulated in the same IEEE
-order, the same per-core counters, the same trace rows.
+:class:`repro.sim.engine.FastEngine` holds the one cycle loop.  With
+``engine="reference"`` it steps every core every cycle; with
+``engine="fast"`` it fast-forwards cycles whose outcome is already
+known.  The contract between the two is *byte identity*: for any run
+the ``SimResult`` pickle (protocol 4) must hash identically with
+fast-forward on and off.  Not "statistically close" — the same floats
+accumulated in the same IEEE order, the same per-core counters, the
+same trace rows.
 
 Two synthetic programs probe the two regimes the engine treats
 differently:
@@ -21,14 +24,17 @@ differently:
 
 Both run under every technique (and every PTB policy), at the default
 budget and at a quarter of peak power, plus a truncated run that stops
-mid-spin — the end-of-run flush must materialise
-fast-forwarded cores exactly as the reference left them.
+mid-spin — the end-of-run flush must materialise fast-forwarded cores
+exactly as a stepped run leaves them.  Observers ride the same loop:
+a sanitized run fast-forwards, a traced run steps every core-cycle,
+and neither changes a byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -178,28 +184,61 @@ def test_controller_fallbacks_count_unsteady_cycles():
     assert counts["fast"] < result.cycles
 
 
-def test_telemetry_run_takes_reference_path(monkeypatch):
-    """Telemetry attaches per-cycle hooks the fast engine skips, so the
-    dispatcher must fall back to the reference loop even when the config
-    asks for the fast engine."""
-    from repro.sim import engine as engine_mod
+@pytest.mark.parametrize("observer", ["telemetry", "sanitize"])
+def test_observed_fast_run_pickles_identically(monkeypatch, observer):
+    """Observers ride the one loop without changing a byte.  Sanitizer
+    checks fire on component events, so a sanitized ``engine="fast"``
+    run still fast-forwards; telemetry samples every core's phase and
+    ROB each cycle, so a traced one steps every core-cycle."""
+    from repro.sim.engine import FastEngine
 
-    def _boom(self, sim):
-        raise AssertionError("FastEngine must not run with telemetry on")
-
-    monkeypatch.setattr(engine_mod.FastEngine, "__init__", _boom)
-    # The sanity run below needs sanitizers off: REPRO_SANITIZE=1 would
-    # send it to the reference loop too.
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-    # Sanity: without telemetry the patched engine would be reached.
-    plain = CMPSimulator(CMPConfig(num_cores=2, engine="fast"),
-                         spin_heavy(2))
-    with pytest.raises(AssertionError, match="must not run"):
-        plain.run(max_cycles=2_000)
-
-    sim = CMPSimulator(CMPConfig(num_cores=2, engine="fast", telemetry=True),
-                       spin_heavy(2))
-    assert sim.telemetry is not None
-    result = sim.run(max_cycles=MAX_CYCLES)
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    runs = []
+    for observed in (False, True):
+        cfg = replace(CMPConfig(num_cores=CORES, engine="fast"),
+                      **{observer: observed})
+        engine = FastEngine(CMPSimulator(cfg, spin_heavy(CORES),
+                                         technique="ptb", ptb_policy="toall"))
+        result = engine.run(MAX_CYCLES)
+        blob = pickle.dumps(result, protocol=4)
+        runs.append((hashlib.sha256(blob).hexdigest(), result, engine.stats))
+    (plain_hash, _, plain), (observed_hash, result, stats) = runs
     assert result.completed
+    assert plain["skip_cycles"] + plain["replay_cycles"] > 0
+    if observer == "telemetry":
+        assert stats["skip_cycles"] == stats["replay_cycles"] == 0
+    else:
+        assert stats["skip_cycles"] + stats["replay_cycles"] > 0
+    assert observed_hash == plain_hash
+
+
+def test_reference_engine_steps_every_core_every_cycle(monkeypatch):
+    """``engine="reference"`` makes one ``Core.step`` or
+    ``Core.idle_cycle`` call per core per cycle, finished cores
+    included; the fast engine makes fewer."""
+    from repro.core.pipeline import Core
+
+    calls = {"all": 0, "done": 0}
+
+    def counting(fn):
+        def counted(self, *args):
+            calls["all"] += 1
+            calls["done"] += self.done
+            return fn(self, *args)
+        return counted
+
+    monkeypatch.setattr(Core, "step", counting(Core.step))
+    monkeypatch.setattr(Core, "idle_cycle", counting(Core.idle_cycle))
+    stepped = {}
+    for engine in ("reference", "fast"):
+        calls.update(all=0, done=0)
+        result = run_simulation(
+            CMPConfig(num_cores=CORES), spin_heavy(CORES), technique="ptb",
+            ptb_policy="toall", max_cycles=MAX_CYCLES, engine=engine,
+        )
+        assert result.completed
+        stepped[engine] = dict(calls)
+    assert stepped["reference"]["all"] == result.cycles * CORES
+    assert stepped["reference"]["done"] > 0
+    assert stepped["fast"]["all"] < result.cycles * CORES

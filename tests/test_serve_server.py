@@ -130,8 +130,8 @@ class TestCoalescing:
 
         with ServerThread(make_config(tmp_path)) as st:
             with ServeClient.connect(st.address) as cli:
-                cli.submit([RECIPE])     # cold: simulated, written to disk
-                cli.submit([RECIPE])     # a disk hit, pulled into the memo
+                cli.submit([RECIPE])     # cold: simulated, memoised
+                cli.submit([RECIPE])     # a memo hit
             before = st.status()["runner"]
             calls = []
             real = runner_mod._cache_key
@@ -147,6 +147,19 @@ class TestCoalescing:
         assert calls == [RECIPE] * 3
         assert [r.cached for r in reply.results] == [True] * 3
         assert after["mem_hits"] == before["mem_hits"] + 3
+
+    def test_cold_result_is_memoised(self, tmp_path, sim_calls):
+        """A cold job's result enters the runner's memo, so the next
+        submit of its recipe is a memo hit, not a disk re-read."""
+        with ServerThread(make_config(tmp_path)) as st:
+            with ServeClient.connect(st.address) as cli:
+                cli.submit([RECIPE])
+                before = st.status()["runner"]
+                cli.submit([RECIPE])
+            after = st.status()["runner"]
+        assert len(sim_calls) == 1
+        assert after["mem_hits"] == before["mem_hits"] + 1
+        assert after["disk_hits"] == before["disk_hits"]
 
     def test_duplicate_recipes_in_one_request_coalesce(
             self, tmp_path, sim_calls):

@@ -38,8 +38,10 @@ accumulator by one gated cycle.
 under every controller: at the default budget no DVFS mode ever
 changes, so only these pins cover mode transitions on both engines.
 
-Both engines must reproduce the hashes bit-for-bit — the ``fast``
-parametrization is the regression anchor for ``repro.sim.engine``
+Both engine settings must reproduce the hashes bit-for-bit: they run
+the one cycle loop in ``repro.sim.engine`` with fast-forward off and
+on.  With no second loop to compare against, these hashes and
+``bench/golden.json`` are what pin the bytes
 (tests/test_engine_equivalence.py covers the broader matrix).
 
 The program is small but exercises every subsystem the rewrites touched:
@@ -50,8 +52,11 @@ policies (latency pipe, pledge escrow, grant bookkeeping).
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import math
 import pickle
+import sys
 
 import pytest
 
@@ -336,3 +341,110 @@ def test_no_idle_tail_cycle_and_exact_boundary_finish(engine: str) -> None:
         )
     assert short.truncated
     assert short.cycles == full.cycles - 1
+
+
+# --------------------------------------------------------------------------- #
+# Interpreter independence: CPython 3.12's compensated float sum()            #
+# --------------------------------------------------------------------------- #
+
+#: A 4-core PTB/ToAll run: with three or more cores the thermal model's
+#: mean is a float total whose last bit 3.12's ``sum()`` can change (the
+#: 2-core pins above cannot show it: a two-term sum rounds the same).
+ORACLE_CORES = 4
+ORACLE_CYCLES = 2792
+ORACLE_HASH = (
+    "cecebbc93927e2ccfd2f6f3a42a4eb5f1120763adc986eb58170780d8e920241"
+)
+
+_C_LONG = (-(1 << 63), (1 << 63) - 1)
+
+
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's ``sum()``, which compensates float additions.
+
+    Follows ``builtin_sum_impl``: while the total is an int, ints and
+    bools add exactly.  Once it is a float, items of exact type
+    ``float`` add with Neumaier's compensation term, C-long ints add
+    plainly, and any other item folds the compensation in and continues
+    with ``+``.
+    """
+    it = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in it:
+            if type(item) is int or type(item) is bool:
+                total += item
+            else:
+                total = total + item
+                break
+        else:
+            return total
+    if type(total) is not float:
+        for item in it:
+            total = total + item
+        return total
+    f, c = total, 0.0
+    for item in it:
+        if type(item) is float:
+            t = f + item
+            if abs(f) >= abs(item):
+                c += (f - t) + item
+            else:
+                c += (item - t) + f
+            f = t
+        elif isinstance(item, int) and _C_LONG[0] <= item <= _C_LONG[1]:
+            f += float(item)
+        else:
+            if c and math.isfinite(c):
+                f += c
+            total = f + item
+            for item in it:
+                total = total + item
+            return total
+    if c and math.isfinite(c):
+        f += c
+    return f
+
+
+def test_float_sums_are_interpreter_independent(monkeypatch):
+    """Every ``sum()`` a pinned run reaches returns the same value under
+    3.12's compensated algorithm, and the run keeps its pinned hash.
+
+    Float totals that feed results are explicit left folds
+    (``ThermalModel._step``'s mean, ``validate_mix``'s total), so they
+    round the same on every interpreter; this test catches a new float
+    ``sum()`` that would not.
+    """
+    native = builtins.sum
+    # The emulation really compensates (3.11 gives 0.9999999999999999
+    # and 0.0 here).
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    calls = []
+    differ = []
+
+    def oracle(iterable, /, start=0):
+        items = list(iterable)
+        old = native(items, start)
+        new = compensated_sum(items, start)
+        calls.append(type(new))
+        if (type(old), repr(old)) != (type(new), repr(new)):
+            caller = sys._getframe(1)
+            differ.append(f"{caller.f_code.co_filename}:{caller.f_lineno}: "
+                          f"{old!r} -> {new!r}")
+        return new
+
+    monkeypatch.setattr(builtins, "sum", oracle)
+    sim = CMPSimulator(
+        CMPConfig(num_cores=ORACLE_CORES).with_engine("fast"),
+        _make_program(ORACLE_CORES, 600),
+        technique="ptb",
+        ptb_policy="toall",
+    )
+    result = sim.run(40_000)
+    monkeypatch.setattr(builtins, "sum", native)
+    assert calls, "the oracle never ran"
+    assert differ == []
+    assert result.cycles == ORACLE_CYCLES
+    blob = pickle.dumps(result, protocol=4)
+    assert hashlib.sha256(blob).hexdigest() == ORACLE_HASH

@@ -439,6 +439,29 @@ class TestRealTree:
                 f"stale baseline entry: {entry['fingerprint']}"
             )
 
+    def test_worker_walk_reaches_the_cycle_loop(self):
+        """The walk from the workers follows ``CMPSimulator.run`` into
+        ``FastEngine.run`` and on into what the loop steps and calls, so
+        the PURE rules cover the code that computes results."""
+        from repro.simcheck.flow.effects import EffectAnalyzer
+        from repro.simcheck.flow.model import PackageIndex
+        from repro.simcheck.purity import find_cache_model
+        from repro.simcheck.purity.workers import _WorkerGraphBuilder
+
+        index = PackageIndex.build(SRC_REPRO)
+        model, _ = find_cache_model(index)
+        builder = _WorkerGraphBuilder(index, EffectAnalyzer(index))
+        builder.build([(model.module, fn) for fn in model.worker_fns])
+        reached = set(builder.functions)
+        assert {
+            "FastEngine.run", "Core.step", "Core.idle_cycle",
+            "EnergyModel.cycle_power", "ThermalModel._step",
+            "PTBController.end_cycle", "SpinGatingPTBController.end_cycle",
+            "LocalBudgetController.end_cycle", "SyncDomain.spinning_cores",
+            "SanitizerSuite.on_cycle", "TelemetrySession.sample_cycle",
+            "CMPSimulator._finish",
+        } <= reached
+
     def test_no_unjustified_key001_on_real_tree(self):
         """Key-coverage gaps must be fixed, or consciously baselined.
 

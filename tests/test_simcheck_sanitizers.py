@@ -12,6 +12,7 @@ from repro.budget.ptb import PTBLoadBalancer
 from repro.mem.coherence import Directory, State
 from repro.noc.mesh import Mesh2D
 from repro.sim.cmp import CMPSimulator
+from repro.sim.engine import FastEngine
 from repro.simcheck import (
     CoherenceSanitizer,
     NoCProgressSanitizer,
@@ -261,13 +262,25 @@ class TestEnablement:
 
 
 class TestCleanSmoke:
+    """Sanitizers stay silent on a run that steps every core-cycle."""
+
+    engine = "reference"
+
+    def _run(self, program, **kw):
+        cfg = replace(CMPConfig(num_cores=2), sanitize=True)
+        sim = CMPSimulator(cfg.with_engine(self.engine), program, **kw)
+        engine = FastEngine(sim)
+        result = engine.run(60_000)
+        assert result.completed
+        stats = engine.stats
+        fast_forwarded = stats["skip_cycles"] + stats["replay_cycles"]
+        assert (fast_forwarded > 0) == (self.engine == "fast")
+        return sim
+
     @pytest.mark.parametrize("policy", ["toall", "toone"])
     def test_two_core_ptb_smoke_is_violation_free(self, policy):
-        cfg = replace(CMPConfig(num_cores=2), sanitize=True)
         prog = make_program(2, work=600, barriers=2, lock_ops=2, cs_len=40)
-        sim = CMPSimulator(cfg, prog, technique="ptb", ptb_policy=policy)
-        result = sim.run(max_cycles=60_000)
-        assert result.completed
+        sim = self._run(prog, technique="ptb", ptb_policy=policy)
         suite = sim.sanitizers
         assert suite is not None
         # Every sanitizer actually exercised its checks.
@@ -278,9 +291,35 @@ class TestCleanSmoke:
         suite.coherence.check_all()
 
     def test_uncontrolled_smoke_is_violation_free(self):
-        cfg = replace(CMPConfig(num_cores=2), sanitize=True)
-        sim = CMPSimulator(cfg, make_program(2, work=400, barriers=1),
-                           technique="none")
-        result = sim.run(max_cycles=60_000)
-        assert result.completed
+        sim = self._run(make_program(2, work=400, barriers=1),
+                        technique="none")
         assert sim.sanitizers.pipeline.checks > 0
+
+
+class TestCleanSmokeFast(TestCleanSmoke):
+    """The same runs with fast-forward on: frozen spans raise no
+    component event, so sanitized runs keep it on, and every sanitizer
+    still checks the stepped cycles."""
+
+    engine = "fast"
+
+
+def test_minting_balancer_raises_out_of_fast_forwarded_run(monkeypatch):
+    """A token-minting ``PTBLoadBalancer.distribute`` is caught on the
+    fast engine: the violation escapes ``run()`` after cores have
+    already been fast-forwarded."""
+
+    def mint(pool, overs, policy, priority=None):
+        return [pool + 1] + [0] * (len(overs) - 1)
+
+    monkeypatch.setattr(PTBLoadBalancer, "distribute", staticmethod(mint))
+    prog = make_program(2, work=600, barriers=2, lock_ops=2, cs_len=40)
+    cfg = replace(CMPConfig(num_cores=2), sanitize=True).with_engine("fast")
+    fast = FastEngine(CMPSimulator(cfg, prog, technique="ptb",
+                                   ptb_policy="toall"))
+    with pytest.raises(SanitizerViolation) as ei:
+        fast.run(60_000)
+    v = violation(ei, "TokenSanitizer")
+    assert "minted" in str(v)
+    assert v.cycle > 0
+    assert fast.stats["skip_entries"] > 0
