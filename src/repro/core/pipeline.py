@@ -61,7 +61,8 @@ _DISPATCH_DELAY = 5
 #: Cycles to redirect fetch after a mispredicted branch resolves.
 _REDIRECT_CYCLES = 3
 
-#: ROB entry field indices (entries are plain lists for speed).
+#: ROB entry field indices.  Entries are tuples, never mutated once
+#: fetched, so a fast-engine snapshot can hold them by reference.
 _PC, _KIND, _BASE_EN, _BASE_TOK, _DISPATCH, _COMPLETE, _FLAGS = range(7)
 
 _F_MEM = 1
@@ -118,7 +119,7 @@ class Core:
         self.decode_width = core.decode_width
         self.commit_width = core.commit_width
 
-        self.rob: Deque[list] = deque()
+        self.rob: Deque[tuple] = deque()
         self.predictor = GsharePredictor(
             core.bp_table_bytes, core.bp_history_bits
         )
@@ -413,8 +414,8 @@ class Core:
             else:
                 predicted += default_cost
             rob.append(
-                [pc, kind, base_e, base_tok, now, complete,
-                 _F_MEM if is_mem else 0]
+                (pc, kind, base_e, base_tok, now, complete,
+                 _F_MEM if is_mem else 0)
             )
             fetched_energy += base_e
             n_fetched += 1
@@ -478,11 +479,11 @@ class Core:
         c_br = start + 1
 
         t_load, t_alu, t_br = self._spin_tokens
-        rob.append([_SPIN_PC, _KIND_LOAD, _E_LOAD, t_load, now, c_load,
-                    _F_MEM])
-        rob.append([_SPIN_PC + 4, _KIND_ALU, _E_ALU, t_alu, now, c_alu, 0])
-        rob.append([_SPIN_PC + 8, _KIND_BRANCH, _E_BRANCH, t_br, now, c_br,
-                    0])
+        rob.append((_SPIN_PC, _KIND_LOAD, _E_LOAD, t_load, now, c_load,
+                    _F_MEM))
+        rob.append((_SPIN_PC + 4, _KIND_ALU, _E_ALU, t_alu, now, c_alu, 0))
+        rob.append((_SPIN_PC + 8, _KIND_BRANCH, _E_BRANCH, t_br, now, c_br,
+                    0))
         # Left to right: the same float additions as one += per instruction.
         ev.fetched_energy = ev.fetched_energy + _E_LOAD + _E_ALU + _E_BRANCH
         ev.n_fetched += 3
@@ -557,8 +558,8 @@ class Core:
         base_e = _BASE_E[kind]
         base_tok = self.accountant.on_fetch(_SYNC_PC + self._sync_obj * 4, kind)
         self.rob.append(
-            [_SYNC_PC + self._sync_obj * 4, kind, base_e, base_tok, now,
-             complete, _F_MEM | _F_SYNC]
+            (_SYNC_PC + self._sync_obj * 4, kind, base_e, base_tok, now,
+             complete, _F_MEM | _F_SYNC)
         )
         ev.fetched_energy += base_e
         ev.n_fetched += 1

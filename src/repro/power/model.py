@@ -193,7 +193,12 @@ class EnergyModel:
         """Average base energy of a busy-mix instruction (EU)."""
         from ..trace.phases import DEFAULT_MIX
 
-        return sum(BASE_ENERGY[k] * f for k, f in DEFAULT_MIX.items())
+        # A left fold, not sum(): the float total is then the same on
+        # every interpreter (CPython 3.12 compensates float sums).
+        total = 0.0
+        for k, f in DEFAULT_MIX.items():
+            total += BASE_ENERGY[k] * f
+        return total
 
     @cached_property
     def peak_core_power(self) -> Watts:

@@ -233,6 +233,12 @@ class FastEngine:
                 (l2, "hits"), (l2, "misses"),
             ))
         self._counter_refs = refs
+        # The same layout as two columns, so a snapshot reads the whole
+        # vector in one ``tuple(map(getattr, objs, names))``.
+        self._counter_cols = [
+            (tuple(o for o, _ in row), tuple(a for _, a in row))
+            for row in refs
+        ]
         self.states = [_CoreState() for _ in range(n)]
         #: Cold-path diagnostics (all bumped at mode entry/exit, never in
         #: the per-cycle hot loop): how much work each layer absorbed.
@@ -365,8 +371,10 @@ class FastEngine:
         pcosts = ptht._costs
         i0, i1, i2 = self._ptht_idxs
         ev = core.events
+        objs, names = self._counter_cols[i]
         return (
-            tuple(tuple(e) for e in core.rob),
+            # ROB entries are immutable tuples: held by reference.
+            tuple(core.rob),
             tuple(pools["int_alu"]),
             (
                 tuple(pools["int_mult"]),
@@ -381,7 +389,7 @@ class FastEngine:
             pred._table[(self._spin_idx ^ hist) & pred._mask],
             (ptags[i0], pcosts[i0], ptags[i1], pcosts[i1],
              ptags[i2], pcosts[i2]),
-            tuple(getattr(o, a) for o, a in self._counter_refs[i]),
+            tuple(map(getattr, objs, names)),
             sig,
             self.epochs[i],
             lru,
@@ -400,12 +408,34 @@ class FastEngine:
         the pattern must be a pure L1-hit loop; and no hand-off may
         already be pending (a pending grant/release flips behaviour at a
         known future cycle with no further invalidation to signal it).
+
+        The checks are a pure conjunction, so their order changes no
+        verdict: the hand-off probe first, then the scalars (those seen
+        to fail first), then the ``int_alu`` stamps, then the ROB walk.
         """
-        sig = A[_S_SIG]
-        if sig != C[_S_SIG]:
-            return False
+        # No pending hand-off: entry is only legal while the next flip
+        # can still be signalled by a watched-line invalidation.  C is
+        # this cycle's snapshot of a spinning core, so its signature
+        # names what the core spins on.
+        sig = C[_S_SIG]
         state = sig[0]
-        if state != _ACQ_SPIN and state != _BAR_SPIN:
+        if state == _ACQ_SPIN:
+            if self.sync.lock(sig[1]).grant_at.get(i) is not None:
+                return False
+        elif state == _BAR_SPIN:
+            if self.sync.barrier(sig[1]).release.get(sig[2]) is not None:
+                return False
+        else:
+            return False
+        if A[_S_CONS] != C[_S_CONS] or A[_S_PRED] != C[_S_PRED]:
+            return False
+        if A[_S_EV] != C[_S_EV]:
+            return False
+        if A[_S_PTHT] != C[_S_PTHT]:
+            return False
+        if A[_S_HIST] != C[_S_HIST] or A[_S_BYTE] != C[_S_BYTE]:
+            return False
+        if A[_S_SIG] != sig:
             return False
         if A[_S_EPOCH] != C[_S_EPOCH] or C[_S_EPOCH] != self.epochs[i]:
             return False
@@ -417,16 +447,26 @@ class FastEngine:
         # exactly periodic (same ROB pattern -> same commits per period),
         # the counter is only *read* by the LSQ gate in _fetch, which a
         # spinning core never reaches, so it replays as a linear counter.
-        if A[_S_HIST] != C[_S_HIST] or A[_S_BYTE] != C[_S_BYTE]:
-            return False
-        if A[_S_PTHT] != C[_S_PTHT]:
-            return False
-        if A[_S_OTHER] != C[_S_OTHER]:
-            return False
         if C[_S_SN] - A[_S_SN] != period:
             return False
         if C[_S_LC] - A[_S_LC] != period:
             return False
+        lru = A[_S_LRU]
+        if lru is None or lru != C[_S_LRU]:
+            return False
+        cnt_a = A[_S_CNT]
+        cnt_c = C[_S_CNT]
+        if (
+            cnt_c[_CI_L1D_MISSES] != cnt_a[_CI_L1D_MISSES]
+            or cnt_c[_CI_L2_HITS] != cnt_a[_CI_L2_HITS]
+            or cnt_c[_CI_L2_MISSES] != cnt_a[_CI_L2_MISSES]
+        ):
+            return False
+        if A[_S_OTHER] != C[_S_OTHER]:
+            return False
+        for ua, uc in zip(A[_S_IA], C[_S_IA]):
+            if uc - ua != period:
+                return False
         rob_a = A[_S_ROB]
         rob_c = C[_S_ROB]
         if len(rob_a) != len(rob_c):
@@ -438,39 +478,23 @@ class FastEngine:
                 or ec[4] - ea[4] != period or ec[5] - ea[5] != period
             ):
                 return False
-        for ua, uc in zip(A[_S_IA], C[_S_IA]):
-            if uc - ua != period:
-                return False
-        cnt_a = A[_S_CNT]
-        cnt_c = C[_S_CNT]
-        if (
-            cnt_c[_CI_L1D_MISSES] != cnt_a[_CI_L1D_MISSES]
-            or cnt_c[_CI_L2_HITS] != cnt_a[_CI_L2_HITS]
-            or cnt_c[_CI_L2_MISSES] != cnt_a[_CI_L2_MISSES]
-        ):
-            return False
-        if A[_S_CONS] != C[_S_CONS] or A[_S_PRED] != C[_S_PRED]:
-            return False
-        if A[_S_EV] != C[_S_EV]:
-            return False
-        lru = A[_S_LRU]
-        if lru is None or lru != C[_S_LRU]:
-            return False
-        # No pending hand-off: entry is only legal while the next flip
-        # can still be signalled by a watched-line invalidation.
-        if state == _ACQ_SPIN:
-            if self.sync.lock(sig[1]).grant_at.get(i) is not None:
-                return False
-        else:
-            if self.sync.barrier(sig[1]).release.get(sig[2]) is not None:
-                return False
         return True
 
     def _track(self, st: _CoreState, i: int, core, cyc: int) -> None:
         """Feed the certification window with one real spin cycle."""
         if st.pause > cyc:
             return
-        if core.predictor.history != self._hist_full:
+        # Two kinds of cycle no certified window can contain, so they
+        # take no snapshot and count no failure: an unsaturated gshare
+        # history, and a last spin load that missed (a hit sets
+        # ``_spin_next`` to ``cyc + 2`` at the latest, a miss to the
+        # load's completion).  A window holding the missed cycle either
+        # counts the miss or sees ``_spin_next`` advance by less than the
+        # period (DESIGN.md section 10).
+        if (
+            core.predictor.history != self._hist_full
+            or core._spin_next > cyc + 2
+        ):
             if st.win:
                 del st.win[:]
             return
@@ -568,8 +592,8 @@ class FastEngine:
         rob = core.rob
         rob.clear()
         for e in S[_S_ROB]:
-            rob.append([e[0], e[1], e[2], e[3], e[4] + delta,
-                        e[5] + delta, e[6]])
+            rob.append((e[0], e[1], e[2], e[3], e[4] + delta,
+                        e[5] + delta, e[6]))
         pool = core.fus._pools["int_alu"]
         for k, unit in enumerate(S[_S_IA]):
             pool[k] = unit + delta
@@ -702,6 +726,7 @@ class FastEngine:
             if begin_cycle is not None:
                 begin_cycle(cycle)
             total = 0.0
+            total_s = 0.0
             for i in range(n):
                 st = states[i]
                 m = st.mode
@@ -822,6 +847,7 @@ class FastEngine:
                 # filtered curve (cf. the smooth traces of Figures 1/6).
                 ps = smoothed[i] * beta + p * alpha
                 smoothed[i] = ps
+                total_s += ps
                 if end_cycle is not None:
                     # Control-plane power tokens: the sensor reading in
                     # token currency (the paper's PTHT accounting tracks
@@ -841,9 +867,6 @@ class FastEngine:
                 tacc[i] += p
 
             total_energy += total
-            total_s = 0.0
-            for ps in smoothed:
-                total_s += ps
             if total_s > budget:
                 aopb_global += total_s - budget
             if total > max_power:

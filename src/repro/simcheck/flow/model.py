@@ -246,35 +246,45 @@ class PackageIndex:
         """Second pass: resolve self-attribute classes and units.
 
         Needs the full class/function tables, hence after parsing.
+        Repeats until no attribute type changes, because
+        ``self.x = param.attr`` resolves only once the parameter's class
+        has typed ``attr`` (entries are only ever added).
         """
-        for info in self.classes.values():
-            param_units, param_classes = {}, {}
-            init = info.methods.get("__init__")
-            if init is not None:
-                for arg in list(init.args.args) + list(init.args.kwonlyargs):
-                    unit = annotation_unit(arg.annotation)
-                    if unit:
-                        param_units[arg.arg] = unit
-                    for head in annotation_heads(arg.annotation):
-                        if head in self.classes:
-                            param_classes[arg.arg] = head
-                            break
-            for fn in info.methods.values():
-                for stmt in ast.walk(fn):
-                    self._record_self_assign(
-                        info, stmt, param_units, param_classes
-                    )
-            for stmt in info.node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    unit = annotation_unit(stmt.annotation)
-                    if unit:
-                        info.attr_units.setdefault(stmt.target.id, unit)
-                    for head in annotation_heads(stmt.annotation):
-                        if head in self.classes:
-                            info.attr_classes.setdefault(stmt.target.id, head)
-                            break
+        classes = self.classes.values()
+        known = None
+        while known != [len(info.attr_classes) for info in classes]:
+            known = [len(info.attr_classes) for info in classes]
+            for info in classes:
+                self._resolve_class_attrs(info)
+
+    def _resolve_class_attrs(self, info: ClassInfo) -> None:
+        param_units, param_classes = {}, {}
+        init = info.methods.get("__init__")
+        if init is not None:
+            for arg in list(init.args.args) + list(init.args.kwonlyargs):
+                unit = annotation_unit(arg.annotation)
+                if unit:
+                    param_units[arg.arg] = unit
+                for head in annotation_heads(arg.annotation):
+                    if head in self.classes:
+                        param_classes[arg.arg] = head
+                        break
+        for fn in info.methods.values():
+            for stmt in ast.walk(fn):
+                self._record_self_assign(
+                    info, stmt, param_units, param_classes
+                )
+        for stmt in info.node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
+                stmt.target, ast.Name
+            ):
+                unit = annotation_unit(stmt.annotation)
+                if unit:
+                    info.attr_units.setdefault(stmt.target.id, unit)
+                for head in annotation_heads(stmt.annotation):
+                    if head in self.classes:
+                        info.attr_classes.setdefault(stmt.target.id, head)
+                        break
 
     def _record_self_assign(
         self,
@@ -331,6 +341,17 @@ class PackageIndex:
                     return returns[0]
         if isinstance(value, ast.Name) and value.id in param_classes:
             return param_classes[value.id]
+        if (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id in param_classes
+        ):
+            # ``self.x = param.attr``: what ``attr`` holds on the class
+            # the parameter is annotated with.
+            owner = self.classes[param_classes[value.value.id]]
+            held = self.attr_class(owner, value.attr)
+            if held is not None:
+                return held.name
         if isinstance(value, ast.ListComp) and isinstance(
             value.elt, ast.Call
         ) and isinstance(value.elt.func, ast.Name):

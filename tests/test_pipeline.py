@@ -251,7 +251,9 @@ def _shadow_accountant(core, stats):
     wraps ``step`` and ``idle_cycle`` on the instance, feeds a copy of
     the accountant the cycle's commits and fetches, as read off the ROB,
     through ``begin_cycle``/``on_commit``/``on_fetch``/``end_cycle``,
-    and asserts the two agree after every cycle.
+    and asserts the two agree after every cycle.  It also asserts that
+    every ROB entry is a tuple after each step: entries are never
+    mutated, so the fast engine's snapshots hold them by reference.
     """
     ref = copy.deepcopy(core.accountant)
     rob = core.rob
@@ -276,6 +278,7 @@ def _shadow_accountant(core, stats):
         before = list(rob)
         del early[:]
         step(now, fetch_allowed, issue_width)
+        assert all(type(e) is tuple for e in rob)
         stats["gated"] += not fetch_allowed
         stats["narrowed"] += issue_width is not None
         kept = {id(e) for e in rob}

@@ -407,13 +407,16 @@ def compensated_sum(iterable, /, start=0):
 
 
 def test_float_sums_are_interpreter_independent(monkeypatch):
-    """Every ``sum()`` a pinned run reaches returns the same value under
-    3.12's compensated algorithm, and the run keeps its pinned hash.
+    """A pinned run reaches no ``sum()`` that returns a float, every
+    ``sum()`` it does reach returns the same value under 3.12's
+    compensated algorithm, and the run keeps its pinned hash.
 
     Float totals that feed results are explicit left folds
-    (``ThermalModel._step``'s mean, ``validate_mix``'s total), so they
-    round the same on every interpreter; this test catches a new float
-    ``sum()`` that would not.
+    (``ThermalModel._step``'s mean, ``validate_mix``'s total,
+    ``EnergyModel.mean_busy_base_energy``), so they round the same on
+    every interpreter by construction.  The ``sum()`` calls left are
+    integer totals, which 3.12 adds exactly as 3.11 does; a new float
+    ``sum()`` fails here even while it happens to round the same.
     """
     native = builtins.sum
     # The emulation really compensates (3.11 gives 0.9999999999999999
@@ -422,16 +425,19 @@ def test_float_sums_are_interpreter_independent(monkeypatch):
     assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
     calls = []
     differ = []
+    floats = []
 
     def oracle(iterable, /, start=0):
         items = list(iterable)
         old = native(items, start)
         new = compensated_sum(items, start)
         calls.append(type(new))
+        caller = sys._getframe(1)
+        where = f"{caller.f_code.co_filename}:{caller.f_lineno}"
+        if type(old) is float or type(new) is float:
+            floats.append(f"{where}: {new!r}")
         if (type(old), repr(old)) != (type(new), repr(new)):
-            caller = sys._getframe(1)
-            differ.append(f"{caller.f_code.co_filename}:{caller.f_lineno}: "
-                          f"{old!r} -> {new!r}")
+            differ.append(f"{where}: {old!r} -> {new!r}")
         return new
 
     monkeypatch.setattr(builtins, "sum", oracle)
@@ -444,6 +450,7 @@ def test_float_sums_are_interpreter_independent(monkeypatch):
     result = sim.run(40_000)
     monkeypatch.setattr(builtins, "sum", native)
     assert calls, "the oracle never ran"
+    assert floats == []
     assert differ == []
     assert result.cycles == ORACLE_CYCLES
     blob = pickle.dumps(result, protocol=4)

@@ -297,6 +297,38 @@ class TestPure002:
         analysis = analyze_purity(sound_pkg(tmp_path, engine=engine))
         assert "PURE002|env:PKG_DEBUG|Simulator.run" in fingerprints(analysis)
 
+    def test_env_read_in_component_copied_off_annotated_param(self,
+                                                              tmp_path):
+        # Loop copies its meter off an annotated parameter
+        # (``self.meter = sim.meter``), so Meter.read is reachable only
+        # if the walk types that attribute through Simulator's.  Loop is
+        # defined first: Simulator's ``meter`` is typed after Loop's
+        # first pass, so the typing must repeat until nothing changes.
+        engine = ENGINE.replace(
+            "class Simulator:\n",
+            "class Meter:\n"
+            "    def read(self):\n"
+            "        import os\n"
+            "        if os.environ.get('PKG_DEBUG'):\n"
+            "            return 1\n"
+            "        return 0\n"
+            "class Loop:\n"
+            "    def __init__(self, sim: 'Simulator'):\n"
+            "        self.meter = sim.meter\n"
+            "    def go(self, max_cycles):\n"
+            "        return max_cycles + self.meter.read()\n"
+            "class Simulator:\n",
+        ).replace(
+            "        self.cycles = 0\n",
+            "        self.cycles = 0\n"
+            "        self.meter = Meter()\n",
+        ).replace(
+            "        self.cycles = max_cycles\n",
+            "        self.cycles = Loop(self).go(max_cycles)\n",
+        )
+        analysis = analyze_purity(sound_pkg(tmp_path, engine=engine))
+        assert "PURE002|env:PKG_DEBUG|Meter.read" in fingerprints(analysis)
+
     def test_wall_clock_read_is_flagged(self, tmp_path):
         engine = ENGINE.replace(
             "        self.cycles = max_cycles\n",
